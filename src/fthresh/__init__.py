@@ -38,7 +38,6 @@ from .graded import (
 )
 from .ideals import Ideal, SocleBasis, ring_dimension
 from .ring import (
-    Monomial,
     ParseError,
     Polynomial,
     PrimeField,
@@ -64,7 +63,6 @@ __all__ = [
     "GradedPresentation",
     "HilbertData",
     "Ideal",
-    "Monomial",
     "NuRecord",
     "ParseError",
     "Polynomial",

@@ -186,6 +186,40 @@ def _check_preconditions(a: Ideal, J: Ideal):
         raise RingError("the bracket ideal must be m-primary")
 
 
+def _scan(a: Ideal, target: Ideal, warm_start: int | None = None, seeds=None):
+    """max{t : a^t * (seeds) escapes target} as (t, witness, caveats); t = -1 if never.
+
+    All-monomial generators and seeds take the monomial sweep, which first
+    tries the warm start and falls back to t = 0 (caveat "warm-start-fallback")
+    when a^warm_start * (seeds) is already contained; any other input takes
+    the frontier scan, which ignores the warm start.
+    """
+    if not (_all_monomial(a.generators) and (seeds is None or _all_monomial(seeds))):
+        return _scan_frontier(a, target, seeds) + ((),)
+    caveats = ()
+    result = None
+    if warm_start:
+        result = _scan_monomial(a, target, warm_start, seeds)
+        if result is None:
+            caveats = ("warm-start-fallback",)
+    if result is None:
+        result = _scan_monomial(a, target, 0, seeds) or (-1, None)
+    return result + (caveats,)
+
+
+def _bracket(values, mu: int, max_denominator: int):
+    """Rational bracket from (v, q) pairs: (max v/q, min (v+1+mu)/q, guess, monotone).
+
+    The guess is the simplest rational inside the bracket once it is at most
+    1 wide; monotone says whether v/q never decreases along the list.
+    """
+    ratios = [Fraction(v, q) for v, q in values]
+    lower = max(ratios)
+    upper = min(Fraction(v + 1 + mu, q) for v, q in values)
+    guess = guess_rational(lower, upper, max_denominator) if upper - lower <= 1 else None
+    return lower, upper, guess, all(x <= y for x, y in zip(ratios, ratios[1:]))
+
+
 def nu(a: Ideal, J: Ideal, e: int, warm_start: int | None = None) -> NuRecord:
     """Exact nu^J_a(p^e) by upward scan with a verified warm start."""
     if e < 0:
@@ -194,28 +228,15 @@ def nu(a: Ideal, J: Ideal, e: int, warm_start: int | None = None) -> NuRecord:
     ring = a.ring
     q = ring.p**e
     target = J.bracket(q)
-    caveats: list = []
     if target.is_unit():
         record = NuRecord(e, q, -1, None, ("unit-bracket-ideal",))
         if not record.verify(a, target):
             raise RingError("certificate re-check failed for the unit-bracket case")
         return record
-    if _all_monomial(a.generators):
-        result = None
-        if warm_start:
-            result = _scan_monomial(a, target, warm_start)
-            if result is None:
-                caveats.append("warm-start-fallback")
-        if result is None:
-            result = _scan_monomial(a, target, 0)
-        if result is None:
-            raise RingError("even a^0 = R is contained in a proper bracket power")
-        t, witness = result
-    else:
-        t, witness = _scan_frontier(a, target)
-        if t < 0:
-            raise RingError("even a^0 = R is contained in a proper bracket power")
-    record = NuRecord(e, q, t, witness, tuple(caveats))
+    t, witness, caveats = _scan(a, target, warm_start)
+    if t < 0:
+        raise RingError("even a^0 = R is contained in a proper bracket power")
+    record = NuRecord(e, q, t, witness, caveats)
     if not record.verify(a, target):
         raise RingError("nu certificate re-check failed; this is a bug")
     return record
@@ -240,14 +261,9 @@ def threshold_estimate(
         records.append(rec)
         prev = rec
     mu = len(a.generators)
-    lower = max(Fraction(r.nu, r.q) for r in records)
-    upper = min(Fraction(r.nu + 1 + mu, r.q) for r in records)
-    ratios = [Fraction(r.nu, r.q) for r in records]
-    if any(x > y for x, y in zip(ratios, ratios[1:])):
+    lower, upper, guess, monotone = _bracket([(r.nu, r.q) for r in records], mu, max_denominator)
+    if not monotone:
         caveats.add("lower-bounds-not-monotone")
-    guess = None
-    if upper - lower <= 1:
-        guess = guess_rational(lower, upper, max_denominator)
     return ThresholdEstimate(records, mu, lower, upper, guess, tuple(sorted(caveats)))
 
 

@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .frobenius import ThresholdEstimate, guess_rational, threshold_estimate
+from .frobenius import ThresholdEstimate, _bracket, _scan, threshold_estimate
 from .ideals import Ideal, zero_ideal
 from .ring import Polynomial, QuotientRing, RingError, transfer
 
@@ -76,8 +76,6 @@ def fpt_estimate(
     Requires an F-pure presentation; for L = 0 the colon is the unit ideal and
     b coincides with nu^m_a.
     """
-    from .frobenius import _all_monomial, _scan_frontier, _scan_monomial
-
     ring = a.ring
     if not fedder_f_pure(ring):
         raise FPurityError("the presentation is not F-pure; b_a(q) is undefined")
@@ -92,34 +90,20 @@ def fpt_estimate(
     caveats = set()
     if ring.relations:
         caveats.add("fpt-upper-heuristic")
-    prev_b = None
+    prev_b = 0
     for e in range(1, e_max + 1):
         q = p**e
-        colon = _splitting_colon(ring, q)
-        target = S.maximal_ideal().bracket(q)
-        seeds = list(colon.generators)
-        if _all_monomial(a_S.generators) and _all_monomial(seeds):
-            result = None
-            if prev_b:
-                result = _scan_monomial(a_S, target, p * prev_b, seeds)
-                if result is None:
-                    caveats.add("warm-start-fallback")
-            if result is None:
-                result = _scan_monomial(a_S, target, 0, seeds)
-            t = result[0] if result is not None else -1
-        else:
-            t, _ = _scan_frontier(a_S, target, seeds)
+        seeds = list(_splitting_colon(ring, q).generators)
+        t, _, scan_caveats = _scan(a_S, S.maximal_ideal().bracket(q), p * prev_b, seeds)
         if t < 0:
             raise FPurityError("splitting colon landed inside m^[q]; contradicts F-purity")
+        caveats.update(scan_caveats)
         records.append((e, q, t))
         prev_b = t
     mu = len(a.generators)
-    lower = max(Fraction(b, q) for _, q, b in records)
-    upper = min(Fraction(b + 1 + mu, q) for _, q, b in records)
-    ratios = [Fraction(b, q) for _, q, b in records]
-    if any(x > y for x, y in zip(ratios, ratios[1:])):
+    lower, upper, guess, monotone = _bracket([(b, q) for _, q, b in records], mu, max_denominator)
+    if not monotone:
         caveats.add("b-ratios-not-monotone")
-    guess = guess_rational(lower, upper, max_denominator) if upper - lower <= 1 else None
     return FptEstimate(records, mu, lower, upper, guess, tuple(sorted(caveats)))
 
 

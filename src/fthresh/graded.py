@@ -9,9 +9,8 @@ unchanged. The exact flag records which of these happened.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from . import linalg
 from .ideals import Ideal, zero_ideal
@@ -20,7 +19,7 @@ from .ring import (
     QuotientRing,
     RingError,
     grevlex_key,
-    monomial_divides,
+    monomial_mul,
     monomials_of_degree,
     monomials_up_to_degree,
     transfer,
@@ -132,13 +131,8 @@ def initial_form(f: Polynomial, ring: QuotientRing, cutoff: int) -> Polynomial:
         {m for g in images for m in g.terms} | set(target.terms), key=grevlex_key
     )
     col_index = {m: j for j, m in enumerate(columns)}
-    mat = np.zeros((len(degree_r), len(columns)), dtype=np.int64)
-    for i, g in enumerate(images):
-        for m, c in g.terms.items():
-            mat[i, col_index[m]] = c
-    vec = np.zeros(len(columns), dtype=np.int64)
-    for m, c in target.terms.items():
-        vec[col_index[m]] = c
+    mat = linalg.terms_matrix([g.terms for g in images], col_index)
+    vec = linalg.terms_matrix([target.terms], col_index)[0]
     solution = linalg.solve(mat, vec, ring.p)
     if solution is None:
         raise RingError("initial form solve failed; order computation is inconsistent")
@@ -158,22 +152,29 @@ def _column_layout(nvars: int, N: int):
     return columns, {m: j for j, m in enumerate(columns)}
 
 
+# Most cells (rows x columns) of a Macaulay matrix; a larger one is refused
+# before allocation. The largest the tests and benchmark build has 72,264,192.
+_MAX_MATRIX_CELLS = 2**27
+
+
 def _product_rows(gen_polys, nvars: int, N: int, col_index):
-    rows = []
-    for g in gen_polys:
-        d = g.degree()
-        if d > N:
-            continue
-        for m in monomials_up_to_degree(nvars, N - d):
-            row = {}
-            for gm, c in g.terms.items():
-                row[tuple(a + b for a, b in zip(gm, m))] = c
-            rows.append(row)
-    mat = np.zeros((len(rows), len(col_index)), dtype=np.int64)
-    for i, row in enumerate(rows):
-        for m, c in row.items():
-            mat[i, col_index[m]] = c
-    return mat
+    """The products g*x^m of degree <= N as term dicts, and their coefficient matrix.
+
+    Raises TruncationError instead of allocating more than _MAX_MATRIX_CELLS cells.
+    """
+    gens = [g for g in gen_polys if g.degree() <= N]
+    nrows = sum(math.comb(N - g.degree() + nvars, nvars) for g in gens)
+    if nrows * len(col_index) > _MAX_MATRIX_CELLS:
+        raise TruncationError(
+            f"Macaulay matrix of {nrows} x {len(col_index)} cells at product degree {N} "
+            f"exceeds the bound of {_MAX_MATRIX_CELLS} cells"
+        )
+    rows = [
+        {monomial_mul(gm, m): c for gm, c in g.terms.items()}
+        for g in gens
+        for m in monomials_up_to_degree(nvars, N - g.degree())
+    ]
+    return rows, linalg.terms_matrix(rows, col_index)
 
 
 def _pieces_at(ring: QuotientRing, gen_polys, D: int, N: int):
@@ -184,7 +185,7 @@ def _pieces_at(ring: QuotientRing, gen_polys, D: int, N: int):
     below degree i; their degree-i components are the truncated piece.
     """
     columns, col_index = _column_layout(ring.nvars, N)
-    mat = _product_rows(gen_polys, ring.nvars, N, col_index)
+    mat = _product_rows(gen_polys, ring.nvars, N, col_index)[1]
     reduced, pivots = linalg.rref(mat, ring.p)
     degree_of_col = [sum(m) for m in columns]
     block = {}
@@ -284,15 +285,7 @@ def gr_of_ideal(a: Ideal, presentation: GradedPresentation, D: int | None = None
 
 def _standard_counts(ideal: Ideal, max_degree: int):
     """Count, per degree, monomials not divisible by any basis lead."""
-    ideal.groebner_basis()
-    leads = [lead for lead, _ in ideal._gb_leads]
-    counts = [0] * (max_degree + 1)
-    n = ideal.ring.nvars
-    for d in range(max_degree + 1):
-        for m in monomials_of_degree(n, d):
-            if not any(monomial_divides(lead, m) for lead in leads):
-                counts[d] += 1
-    return counts
+    return [len(ideal.standard_monomials_of_degree(d)) for d in range(max_degree + 1)]
 
 
 def hilbert_data(obj, D: int) -> HilbertData:
@@ -329,9 +322,11 @@ def verify_gr_claim(claimed, ring: QuotientRing, D: int | None = None) -> GrClai
     if not basis:
         return GrClaimReport(False, "the ring has no relations; in(L) is the zero ideal")
     pieces, N = _stabilized_pieces(ring, list(basis), D)
+    columns, col_index = _column_layout(ring.nvars, N)
+    rows, mat = _product_rows(list(basis), ring.nvars, N, col_index)
     witnesses = {}
     for g in claimed_polys:
-        witness = _realize_initial_form(ring, list(basis), g, N)
+        witness = _realize_initial_form(ring, rows, mat, columns, g)
         if witness is None:
             return GrClaimReport(
                 False,
@@ -357,37 +352,21 @@ def verify_gr_claim(claimed, ring: QuotientRing, D: int | None = None) -> GrClai
     return GrClaimReport(True, "realizability and Hilbert agreement hold", witnesses, h_ring, h_claimed, D)
 
 
-def _realize_initial_form(ring, gen_polys, target: Polynomial, N: int):
-    """Explicit element of the span of bounded products whose initial form is target."""
-    r = target.min_degree()
-    columns, col_index = _column_layout(ring.nvars, N)
-    keep = [j for j, m in enumerate(columns) if sum(m) <= r]
-    mat = _product_rows(gen_polys, ring.nvars, N, col_index)
+def _realize_initial_form(ring, rows, mat, columns, target: Polynomial):
+    """Explicit element of the span of the product rows whose initial form is target."""
     if mat.shape[0] == 0:
         return None
-    vec = np.zeros(len(keep), dtype=np.int64)
+    r = target.min_degree()
+    keep = [j for j, m in enumerate(columns) if sum(m) <= r]
     reindex = {columns[j]: i for i, j in enumerate(keep)}
-    for m, c in target.terms.items():
-        if m not in reindex:
-            return None
-        vec[reindex[m]] = c
+    if any(m not in reindex for m in target.terms):
+        return None
+    vec = linalg.terms_matrix([target.terms], reindex)[0]
     solution = linalg.solve(mat[:, keep], vec, ring.p)
     if solution is None:
         return None
     element = ring.zero()
-    row_polys = _product_polys(ring, gen_polys, N)
-    for coeff, poly in zip(solution, row_polys):
+    for coeff, row in zip(solution, rows):
         if coeff:
-            element = element + poly.scale(int(coeff))
+            element = element + Polynomial(ring, row).scale(int(coeff))
     return element
-
-
-def _product_polys(ring, gen_polys, N: int):
-    out = []
-    for g in gen_polys:
-        d = g.degree()
-        if d > N:
-            continue
-        for m in monomials_up_to_degree(ring.nvars, N - d):
-            out.append(g * ring.monomial(m))
-    return out

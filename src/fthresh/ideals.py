@@ -15,7 +15,6 @@ import numpy as np
 
 from . import linalg
 from .ring import (
-    Monomial,
     Polynomial,
     QuotientRing,
     RingError,
@@ -241,10 +240,6 @@ class Ideal:
             )
         return self._gb
 
-    def leading_monomials(self):
-        self.groebner_basis()
-        return [Monomial(lead) for lead, _ in self._gb_leads]
-
     def normal_form(self, f: Polynomial) -> Polynomial:
         if not f.ring.same_ambient(self.ring):
             raise RingError("element from a different ambient ring")
@@ -274,9 +269,6 @@ class Ideal:
         if other.ring != self.ring:
             raise RingError("ideals live in different rings")
         return [g.terms for g in self.groebner_basis()] == [g.terms for g in other.groebner_basis()]
-
-    def is_zero_ideal(self) -> bool:
-        return len(self.groebner_basis()) == 0
 
     def is_unit(self) -> bool:
         gb = self.groebner_basis()
@@ -466,6 +458,16 @@ class Ideal:
         out.sort(key=grevlex_key)
         return out
 
+    def standard_monomials_of_degree(self, degree: int):
+        """Monomials of this degree outside the lead-term staircase, in monomials_of_degree order."""
+        self.groebner_basis()
+        leads = [lead for lead, _ in self._gb_leads]
+        return [
+            m
+            for m in monomials_of_degree(self.ring.nvars, degree)
+            if not any(monomial_divides(lead, m) for lead in leads)
+        ]
+
     def socle(self) -> SocleBasis:
         """Basis of (self : m)/self via multiplication-map kernels on the staircase."""
         if not self.is_m_primary():
@@ -477,14 +479,9 @@ class Ideal:
         blocks = []
         for v in self.ring.variables:
             x = self.ring.variable(v)
-            mat = np.zeros((s, s), dtype=np.int64)
-            for j, m in enumerate(std):
-                nf = self.normal_form(self.ring.monomial(m) * x)
-                for mm, c in nf.terms.items():
-                    mat[index[mm], j] = c
-            blocks.append(mat)
-        stacked = np.concatenate(blocks, axis=0)
-        ker = linalg.kernel(stacked, p)
+            images = [self.normal_form(self.ring.monomial(m) * x).terms for m in std]
+            blocks.append(linalg.terms_matrix(images, index).T)
+        ker = linalg.kernel(np.concatenate(blocks, axis=0), p)
         reps = []
         for row in ker:
             terms = {std[j]: int(row[j]) for j in range(s) if row[j]}

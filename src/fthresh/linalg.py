@@ -44,10 +44,13 @@ def rank(matrix: np.ndarray, p: int) -> int:
     return len(pivots)
 
 
-def row_space(matrix: np.ndarray, p: int) -> np.ndarray:
-    """Canonical basis (RREF nonzero rows) of the row space."""
-    r, pivots = rref(matrix, p)
-    return r[: len(pivots)]
+def terms_matrix(rows, col_index) -> np.ndarray:
+    """Coefficient matrix of term dicts: row i holds rows[i], monomial m in column col_index[m]."""
+    mat = np.zeros((len(rows), len(col_index)), dtype=np.int64)
+    for i, row in enumerate(rows):
+        for m, c in row.items():
+            mat[i, col_index[m]] = c
+    return mat
 
 
 def in_row_space(vector: np.ndarray, basis_rref: np.ndarray, pivots, p: int) -> bool:

@@ -10,8 +10,6 @@ at the ideal generated by the variables.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from functools import reduce
 
 MAX_EXPONENT = 1 << 20
 
@@ -42,13 +40,9 @@ def _is_prime(n: int) -> bool:
 
 
 class PrimeField:
-    """GF(p) with canonical representatives in [0, p).
+    """GF(p) with canonical representatives in [0, p), p at most 2^16."""
 
-    Inverses are looked up from a precomputed table; the characteristic is
-    capped at 2^16 so a table is always affordable.
-    """
-
-    __slots__ = ("p", "_inv")
+    __slots__ = ("p",)
 
     def __init__(self, p: int):
         if not isinstance(p, int) or not (2 <= p <= 1 << 16):
@@ -56,16 +50,12 @@ class PrimeField:
         if not _is_prime(p):
             raise RingError(f"characteristic {p} is not prime")
         self.p = p
-        inv = [0] * p
-        for a in range(1, p):
-            inv[a] = pow(a, p - 2, p)
-        self._inv = inv
 
     def inv(self, a: int) -> int:
         a %= self.p
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in GF(p)")
-        return self._inv[a]
+        return pow(a, self.p - 2, self.p)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -107,32 +97,6 @@ def monomial_lcm(a, b):
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-@dataclass(frozen=True)
-class Monomial:
-    """A single monomial, ordered by grevlex on its exponent vector."""
-
-    exponents: tuple
-
-    @property
-    def degree(self) -> int:
-        return sum(self.exponents)
-
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        return Monomial(monomial_mul(self.exponents, other.exponents))
-
-    def divides(self, other: "Monomial") -> bool:
-        return monomial_divides(self.exponents, other.exponents)
-
-    def lcm(self, other: "Monomial") -> "Monomial":
-        return Monomial(monomial_lcm(self.exponents, other.exponents))
-
-    def __lt__(self, other: "Monomial") -> bool:
-        return grevlex_key(self.exponents) < grevlex_key(other.exponents)
-
-    def __le__(self, other: "Monomial") -> bool:
-        return grevlex_key(self.exponents) <= grevlex_key(other.exponents)
-
-
 def monomials_of_degree(nvars: int, degree: int):
     """Yield all exponent tuples of the given total degree."""
     if nvars == 1:
@@ -171,9 +135,6 @@ class Polynomial:
         n = self.ring.nvars
         return self.terms == {(0,) * n: 1}
 
-    def is_monomial(self) -> bool:
-        return len(self.terms) == 1 and next(iter(self.terms.values())) == 1
-
     def is_homogeneous(self) -> bool:
         degs = {sum(m) for m in self.terms}
         return len(degs) <= 1
@@ -190,14 +151,6 @@ class Polynomial:
 
     def homogeneous_component(self, d: int) -> "Polynomial":
         return Polynomial(self.ring, {m: c for m, c in self.terms.items() if sum(m) == d})
-
-    def leading_monomial(self) -> Monomial:
-        if not self.terms:
-            raise RingError("zero polynomial has no leading monomial")
-        return Monomial(max(self.terms, key=grevlex_key))
-
-    def monomials(self):
-        return sorted((Monomial(m) for m in self.terms), reverse=True)
 
     # -- arithmetic -----------------------------------------------------
 
@@ -542,7 +495,3 @@ def parse_poly(source: str, ring: QuotientRing) -> Polynomial:
     if kind != "end":
         raise ParseError(f"unexpected token {val!r}", pos)
     return value
-
-
-def poly_sum(polys, ring: QuotientRing) -> Polynomial:
-    return reduce(lambda a, b: a + b, polys, ring.zero())

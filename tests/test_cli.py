@@ -219,3 +219,15 @@ def test_fedder_and_fpt_subcommands():
     )
     assert code == 0
     assert [r["b"] for r in report["results"]["records"]] == [2, 6]
+
+
+def test_colon_lemma_past_the_matrix_bound_is_inconclusive():
+    # gr_presentation at the default truncation would need a 141234 x 74613
+    # Macaulay matrix (78.5 GiB); the check reports that instead of allocating
+    code, report = run_report(
+        ["check", "--session", session_path("ex-determinantal.json"), "--name", "colon-lemma",
+         "--x", "x11"]
+    )
+    assert code == 3
+    assert report["results"]["verdict"] == "inconclusive"
+    assert "141234 x 74613" in report["results"]["details"]["reason"]

@@ -1,0 +1,143 @@
+"""Golden results: CLI reports on the session fixtures stay byte-identical.
+
+Each case pins sha256(json.dumps(results, sort_keys=True)) of one report, so
+witness strings, caveats, exact flags and brackets are all covered. The hashes
+were recorded before the nu-scan, bracket, staircase and product-matrix code
+was consolidated; a change that alters one of them changes a reported answer.
+Arguments are split on spaces, so generator lists are written without them.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from conftest import session_path
+from fthresh.cli import run
+from fthresh.fsing import FPurityError
+
+GOLDEN = [
+    ("ex-blowup", "nu --a m --J m --e 1",
+     (0, "302d3429fcb44c1ec5509ec79a28a6c9e3ae91703d54de96555c2a4a0da93fe2")),
+    ("ex-blowup", "nu --a m --J m --e 2",
+     (0, "e673f6736f218155054eca41ececc0352708d5eacf96bd76dba42baa026f27e7")),
+    ("ex-blowup", "threshold --a m --J m",
+     (0, "9366f877d421e706a9e6ef0ef89562cab99d29aa5fe55e8fdd9b5646bcd23452")),
+    ("ex-blowup", "fpt --a m",
+     (0, "e1949ed9a8db2827104bf28f392940f9432efc6c41454d1cd44a347c0acaecef")),
+    ("ex-blowup", "socle --a m",
+     (0, "72dd00e5c050335b4503dab79b01bd6a4f8a780a86dca87e18fd6b65c367a34f")),
+    ("ex-blowup", "gr",
+     (0, "cd827eac38e21cfe135d3f54d06d1d031db7b23b8d51d5a22eb3542dfa9059da")),
+    ("ex-blowup", "verify-gr --a b",
+     (1, "2f84ceb6c9f967ff039589d57fe9ad53f175ab81a8007f6be59c15326d629da1")),
+    ("ex-blowup", "verify-thmA",
+     (0, "5bfd4abb395af9cc3d74a1c51ee5d3ebd2e562c44edeb162ec3effded1bb08f7")),
+    ("ex-cusp", "nu --a m --J J --e 1",
+     (0, "ad650abc8b0efca1d42853169cd01ca1e6d5813ab6f0abcd7230e1b541d4c0db")),
+    ("ex-cusp", "nu --a m --J J --e 2",
+     (0, "5f388817dd6cf3432ad3b439d162842d3cf0e9df6164fc9cf9129bbc8b3afac3")),
+    ("ex-cusp", "threshold --a m --J J",
+     (0, "d8aa226a1d3a1f41edb49e3f37ddc830c9e829feb55d5af363bceede629d6e76")),
+    ("ex-cusp", "fpt --a m",
+     "FPurityError"),
+    ("ex-cusp", "socle --a J",
+     (0, "99a6559ce73c56102f7c82a175cc3a1d86e100a3727b828f8439a82bb8ec3ec7")),
+    ("ex-cusp", "gr",
+     (0, "efdcaaa23db99301de557c0ed2e7152c0bec57fd047d3f8b94773322049f61c7")),
+    ("ex-cusp", "verify-gr --a J",
+     (1, "72e166b6e9ac1bef57ef95a72f009df5fe4c2094dd46067ccc731d2999c91097")),
+    ("ex-cusp", "verify-thmA",
+     (0, "89c14fdfd70f17cd4c1bed437ca65add8659e4ba9f22c7e2b243dc0a5e2fd102")),
+    ("ex-fermat-cubic", "nu --a m --J J --e 1",
+     (0, "080f0f66a1a736ab098beccabcbba5bb09c5e773fa51a5636cc614aad8dd02ed")),
+    ("ex-fermat-cubic", "nu --a m --J J --e 2",
+     (0, "1809b3caa21490a08d369f85d60533a27b670140c7b0dc057d19bc25dea1a751")),
+    ("ex-fermat-cubic", "threshold --a m --J J",
+     (0, "55d81ee7db6836a455c69304e4ac0e92c7f12be9213a15a1ff851862dc06398d")),
+    ("ex-fermat-cubic", "fpt --a m",
+     "FPurityError"),
+    ("ex-fermat-cubic", "socle --a J",
+     (0, "75a73b7c86b431fab923e3c7b3f6a9737176e573647674bc99b4a7dc29e1d37a")),
+    ("ex-fermat-cubic", "gr",
+     (0, "d5feb11bef34d92447d6d077957fe0f6aa55ee317fd74bb349bf31203e74fb01")),
+    ("ex-fermat-cubic", "verify-gr --a J",
+     (1, "15b9b35f6ff9edf5dd8b5a6c99afc87fe84a4d1d03691b3b45b3a7ad1ba11f60")),
+    ("ex-fermat-cubic", "verify-thmA",
+     (0, "ab7c7ac70c9f75c5db073635cd4639975b9f13d935b105ced261957a3fa385e4")),
+    ("ex-node4", "nu --a m --J m --e 1",
+     (0, "302d3429fcb44c1ec5509ec79a28a6c9e3ae91703d54de96555c2a4a0da93fe2")),
+    ("ex-node4", "nu --a m --J m --e 2",
+     (0, "5484d2b9bd76a4307fb24e73e4a3ac31c8b287487ac9bce153b9f597b40f95ac")),
+    ("ex-node4", "threshold --a m --J m",
+     (0, "5235abf5da978263512457d2bdb56e66592f24a8e7667e2190164e25c86ee49a")),
+    ("ex-node4", "fpt --a m",
+     (0, "e1949ed9a8db2827104bf28f392940f9432efc6c41454d1cd44a347c0acaecef")),
+    ("ex-node4", "socle --a m",
+     (0, "72dd00e5c050335b4503dab79b01bd6a4f8a780a86dca87e18fd6b65c367a34f")),
+    ("ex-node4", "gr",
+     (0, "cd827eac38e21cfe135d3f54d06d1d031db7b23b8d51d5a22eb3542dfa9059da")),
+    ("ex-node4", "verify-gr --a n",
+     (1, "15b9b35f6ff9edf5dd8b5a6c99afc87fe84a4d1d03691b3b45b3a7ad1ba11f60")),
+    ("ex-node4", "verify-thmA",
+     (0, "fe559fb78073a708f1f2e5acebcfb87407fa5aef8ad44d28fe995d385ef58056")),
+    ("ex-regular", "nu --a m --J J --e 1",
+     (0, "c39bf2694495939a87989deae11e3d49c7789e6e53658652e1facf48a3e270b3")),
+    ("ex-regular", "nu --a m --J J --e 2",
+     (0, "7cf42df5cdc630bfe7477d694e16d7bd424ffd848f9fdb5b6ad2a2946cdf81e4")),
+    ("ex-regular", "threshold --a m --J J",
+     (0, "24d616999a29b7e5ecc6e1d64db08c09fb0cd3d97cdca869e17e955c1061dbf4")),
+    ("ex-regular", "fpt --a m",
+     (0, "6803c8d4ec4dc4193f96f7651458c3a645facad53300def983228ba780e6d797")),
+    ("ex-regular", "socle --a J",
+     (0, "72dd00e5c050335b4503dab79b01bd6a4f8a780a86dca87e18fd6b65c367a34f")),
+    ("ex-regular", "gr",
+     (0, "2c40456b3fcb81b680ab07cbd442739e923297e287f509febf35491a7536f0c0")),
+    ("ex-regular", "verify-gr --a m2",
+     (1, "fbcceeae698cee42f80ee3668cee1e09d6d6bfe27ba169859afdc409bd7e0a17")),
+    ("ex-regular", "verify-thmA",
+     (0, "2e74cfd76a05c52771b2dde631b85cdf1d8115c8434e37bb06b78cee03a2b517")),
+    ("ex-regular", "threshold --a x^2+y^3,x*y --J J",
+     (0, "f5b579b765092d3b9342b6efe8e1027d8cac2589447e35122d63e9b3ccd4791b")),
+    ("ex-cusp", "threshold --a x+y^2 --J J",
+     (0, "9f35c2b4e7ff89a94c95de04926dd2ecd287a27a8b87a668346819c671f121be")),
+    ("ex-blowup", "nu --a x+z,y,w --J b --e 1",
+     (0, "3970c150d7234a91bf4351360fe19495748230d7b729b83f7387df7866b7157c")),
+    ("ex-fermat-cubic", "threshold --a x+y,z --J J",
+     (0, "da87552a53b1993c87f67de74254772d1fe9a2a60b7980cd6f0af897400e3af7")),
+    ("ex-node4", "fpt --a x+z,y+w",
+     (0, "2ec267179750916628ba0e0962ca348224d103927116b9ad32d5a245597bdc72")),
+    ("ex-blowup", "verify-gr --a x*y",
+     (0, "9bbb017db0a43976d22884565b9b00b95788b55d1c1546e19d05f0ad2031f335")),
+    ("ex-node4", "verify-gr --a x*y",
+     (0, "82324199606aa1308a0f06a1e457470ae213ed6f52cf59be4268baf1c95792a3")),
+    ("ex-fermat-cubic", "verify-gr --a x^3+y^3+z^3",
+     (0, "a7d3289beb374043ef99f2e9d1dc584570ed6849160fc3470f690d6cc3bb2cea")),
+    ("ex-cusp", "verify-gr --a x^2",
+     (0, "bc03b398376a84ecb5e318208f82c444fa060d7f569974f17e278376be745a8a")),
+    ("ex-blowup", "fpt --a x+z,y,w",
+     (0, "d6a9078e3b6b2998a5767c3e07a9fb5016bd641886b78427351d715aeeff8d09")),
+    # frontier scans whose last level has several classes, so the witness
+    # depends on which one the scan reconstructs
+    ("ex-regular", "threshold --a x+y^2,x*y --J J",
+     (0, "3b75afb0959b7d6e7046d6a8276771dfd7e872229afe7a69aab0b8dc40c3f4c6")),
+    ("ex-node4", "threshold --a x+z,y+w,z*w --J n",
+     (0, "abd28617bb10a374a15f05e0bbd10c16c38b3fb1d58b6ec226840651ed8f20b1")),
+    ("ex-fermat-cubic", "nu --a x+y,z^2 --J J --e 2",
+     (0, "03e90ddb987bb82ee311963f44ec375a9026ea60c3aede4e3958e3f7ebf349f9")),
+]
+
+
+@pytest.mark.parametrize(
+    "fixture, command, expected", GOLDEN, ids=[f"{f}:{c}" for f, c, _ in GOLDEN]
+)
+def test_report_results_unchanged(fixture, command, expected):
+    name, *rest = command.split(" ")
+    argv = [name, "--session", session_path(f"{fixture}.json")] + rest
+    if expected == "FPurityError":
+        with pytest.raises(FPurityError):
+            run(argv)
+        return
+    code, document = run(argv)
+    results = json.dumps(document["report"]["results"], sort_keys=True).encode("utf-8")
+    assert (code, hashlib.sha256(results).hexdigest()) == expected

@@ -205,3 +205,11 @@ def test_deformed_determinantal_cone_diverges_past_the_claim():
     )
     assert not minors.contains_poly(transfer(combo, ambient))
     assert det.dimension == 3
+
+
+def test_oversized_macaulay_matrix_is_refused_before_allocation():
+    # default truncation 16 in six variables: 74613 columns and more than
+    # 10^4 product rows, far past the 2^27-cell bound
+    ring = QuotientRing(2, ["a", "b", "c", "d", "e", "f"], ["a*b - c^6", "d*e - f^6"])
+    with pytest.raises(TruncationError, match="exceeds the bound of 134217728 cells"):
+        gr_presentation(ring)
