@@ -32,7 +32,7 @@ from .graded import (
     verify_gr_claim,
 )
 from .ideals import Ideal
-from .ring import ParseError, QuotientRing, RingError
+from .ring import ParseError, Polynomial, QuotientRing, RingError
 from .verifier import (
     check_colon_lemma,
     check_lemma22,

@@ -4,10 +4,17 @@ Every predicate about an ideal of R = S/L is evaluated through its lift
 (generators + L) in the ambient polynomial ring S. The engine is classical
 Buchberger with the normal pair-selection strategy; reduced bases are unique
 for the fixed grevlex order, so handles compare ideals by comparing bases.
+
+Basis elements are monic (lead, terms) pairs: the leading monomial is found
+once, when an element enters the basis, and travels with it from `buchberger`
+to the `Ideal` handle (`_gb_leads`), which reduces, tests staircases and
+counts dimension from the stored leads. Each S-pair is ranked once, when it
+is created, and waits on a heap until it is the smallest pending pair.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 
@@ -95,95 +102,83 @@ def _divide_with_quotient(terms, divisor_terms, p, key):
 
 
 def _monic(terms, p, key):
-    lc = terms[_leading(terms, key)]
+    """(lead, terms) of a nonzero term dict, scaled to a monic leading term."""
+    lead = _leading(terms, key)
+    lc = terms[lead]
     if lc == 1:
-        return dict(terms)
+        return lead, dict(terms)
     inv = pow(lc, p - 2, p)
-    return {m: (c * inv) % p for m, c in terms.items()}
+    return lead, {m: (c * inv) % p for m, c in terms.items()}
 
 
-def _s_poly(f, g, p, key):
-    lf = _leading(f, key)
-    lg = _leading(g, key)
+def _s_poly(f, g, p):
+    """S-polynomial of two monic (lead, terms) pairs."""
+    (lf, f_terms), (lg, g_terms) = f, g
     tau = monomial_lcm(lf, lg)
     sf = monomial_div(tau, lf)
     sg = monomial_div(tau, lg)
     out: dict = {}
-    for m, c in f.items():
+    for m, c in f_terms.items():
         mm = monomial_mul(m, sf)
         out[mm] = (out.get(mm, 0) + c) % p
-    for m, c in g.items():
+    for m, c in g_terms.items():
         mm = monomial_mul(m, sg)
         out[mm] = (out.get(mm, 0) - c) % p
     return {m: c for m, c in out.items() if c}
 
 
 def buchberger(generator_terms, p, key=grevlex_key):
-    """Reduced Groebner basis, as monic term dicts sorted by ascending lead.
+    """Reduced Groebner basis, as monic (lead, terms) pairs sorted by ascending lead.
 
-    Pair selection is the normal strategy (minimal lcm degree, ties by the
-    lcm monomial). Pairs with coprime leads and pairs of two monomials are
-    skipped: their S-polynomials reduce to zero for free.
+    Each element's leading monomial is found once, when it enters the basis,
+    and the basis list doubles as the reducer list of every normal form.
+    Pair selection is the normal strategy: a pair (i, j) is ranked once, when
+    it is created, by (deg lcm, key(lcm), i, j) and pushed on a heap, so pairs
+    are taken by minimal lcm degree, ties by the lcm monomial, then by index.
+    Pairs with coprime leads and pairs of two monomials are never queued:
+    their S-polynomials reduce to zero for free.
     """
-    basis = []
-    for terms in generator_terms:
-        if not terms:
-            continue
-        nf = _normal_form_terms(terms, [( _leading(g, key), g) for g in basis], p, key)
-        if nf:
-            basis.append(_monic(nf, p, key))
+    basis: list = []
+    pairs: list = []
 
-    def useless(i, j):
-        f, g = basis[i], basis[j]
-        if len(f) == 1 and len(g) == 1:
-            return True
-        lf, lg = _leading(f, key), _leading(g, key)
-        return monomial_lcm(lf, lg) == monomial_mul(lf, lg)
-
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis)) if not useless(i, j)}
-
-    def pair_rank(pair):
-        i, j = pair
-        tau = monomial_lcm(_leading(basis[i], key), _leading(basis[j], key))
-        return (sum(tau), key(tau), i, j)
-
-    while pairs:
-        i, j = min(pairs, key=pair_rank)
-        pairs.discard((i, j))
-        s = _s_poly(basis[i], basis[j], p, key)
-        if not s:
-            continue
-        reducers = [(_leading(g, key), g) for g in basis]
-        nf = _normal_form_terms(s, reducers, p, key)
-        if not nf:
-            continue
-        basis.append(_monic(nf, p, key))
+    def enter(terms):
+        lead, monic = _monic(terms, p, key)
+        basis.append((lead, monic))
         k = len(basis) - 1
-        for idx in range(k):
-            if not useless(idx, k):
-                pairs.add((idx, k))
+        for i, (lead_i, terms_i) in enumerate(basis[:k]):
+            tau = monomial_lcm(lead_i, lead)
+            if tau == monomial_mul(lead_i, lead) or (len(terms_i) == 1 and len(monic) == 1):
+                continue
+            heapq.heappush(pairs, (sum(tau), key(tau), i, k))
 
+    for terms in generator_terms:
+        if terms:
+            nf = _normal_form_terms(terms, basis, p, key)
+            if nf:
+                enter(nf)
+    while pairs:
+        _, _, i, j = heapq.heappop(pairs)
+        s = _s_poly(basis[i], basis[j], p)
+        nf = s and _normal_form_terms(s, basis, p, key)
+        if nf:
+            enter(nf)
     return _reduce_basis(basis, p, key)
 
 
 def _reduce_basis(basis, p, key):
-    """Interreduce to the unique reduced basis (monic, minimal, tail-reduced)."""
-    if not basis:
-        return []
-    ordered = sorted(basis, key=lambda g: key(_leading(g, key)))
-    kept = []
-    for g in ordered:
-        lg = _leading(g, key)
-        if any(monomial_divides(_leading(h, key), lg) for h in kept):
-            continue
-        kept.append(g)
-    reduced = []
-    for idx, g in enumerate(kept):
-        others = [(_leading(h, key), h) for pos, h in enumerate(kept) if pos != idx]
-        nf = _normal_form_terms(g, others, p, key)
-        if nf:
-            reduced.append(_monic(nf, p, key))
-    return sorted(reduced, key=lambda g: key(_leading(g, key)))
+    """Interreduce (lead, terms) pairs to the unique reduced basis, ascending by lead.
+
+    After the minimality pass no kept lead divides another, so tail reduction
+    leaves every lead, with coefficient one, in place.
+    """
+    kept: list = []
+    for lead, terms in sorted(basis, key=lambda g: key(g[0])):
+        if not any(monomial_divides(h, lead) for h, _ in kept):
+            kept.append((lead, terms))
+    return [
+        (lead, _normal_form_terms(terms, kept[:idx] + kept[idx + 1 :], p, key))
+        for idx, (lead, terms) in enumerate(kept)
+    ]
 
 
 # -- ideal handles ----------------------------------------------------------
@@ -232,12 +227,9 @@ class Ideal:
         if self._gb is None:
             gen_terms = [g.terms for g in self.generators]
             gen_terms += [g.terms for g in self.ring.relations]
-            basis = buchberger(gen_terms, self.ring.p)
-            self._gb = tuple(Polynomial(self.ring, g) for g in basis)
-            self._gb_leads = tuple((_leading(g, grevlex_key), g) for g in basis)
-            self._monomial_elements = tuple(
-                next(iter(g)) for g in basis if len(g) == 1
-            )
+            self._gb_leads = tuple(buchberger(gen_terms, self.ring.p))
+            self._gb = tuple(Polynomial(self.ring, g) for _, g in self._gb_leads)
+            self._monomial_elements = tuple(lead for lead, g in self._gb_leads if len(g) == 1)
         return self._gb
 
     def normal_form(self, f: Polynomial) -> Polynomial:
@@ -361,15 +353,19 @@ class Ideal:
 
     # -- Artinian structure ------------------------------------------------------
 
-    def _staircase_cofinite(self) -> bool:
+    def _pure_power_leads(self):
+        """Per variable i, the e with x_i^e a lead of the basis, else None.
+
+        A reduced basis has at most one such lead per variable; every entry is
+        set exactly when the staircase is cofinite.
+        """
         self.groebner_basis()
-        for i in range(self.ring.nvars):
-            if not any(
-                lead[i] > 0 and all(e == 0 for j, e in enumerate(lead) if j != i)
-                for lead, _ in self._gb_leads
-            ):
-                return False
-        return True
+        exponents = [None] * self.ring.nvars
+        for lead, _ in self._gb_leads:
+            support = [i for i, e in enumerate(lead) if e]
+            if len(support) == 1:
+                exponents[support[0]] = lead[support[0]]
+        return exponents
 
     def is_m_primary(self) -> bool:
         """True iff every variable has some pure power lying in (generators + L)."""
@@ -380,7 +376,7 @@ class Ideal:
     def _check_m_primary(self) -> bool:
         if self.is_unit():
             return False
-        if not self._staircase_cofinite():
+        if None in self._pure_power_leads():
             return False
         size = None
         for i, v in enumerate(self.ring.variables):
@@ -419,35 +415,19 @@ class Ideal:
         return self._nilpotency
 
     def _pure_power_cap(self, i: int) -> int:
-        # smallest pure-power exponent of variable i appearing among the leads
-        self.groebner_basis()
-        best = None
-        for lead, _ in self._gb_leads:
-            if lead[i] > 0 and all(e == 0 for j, e in enumerate(lead) if j != i):
-                best = lead[i] if best is None else min(best, lead[i])
-        if best is None:
+        k = self._pure_power_leads()[i]
+        if k is None:
             raise RingError("staircase is not cofinite")
         # leads bound reducibility, not membership, so grow until pure power lands inside
-        k = best
         while not self.contains_poly(self.ring.monomial(tuple(k if j == i else 0 for j in range(self.ring.nvars)))):
             k += 1
         return k
 
     def standard_monomials(self, max_degree=None):
         """Monomials outside the lead-term staircase, ascending; finite iff cofinite."""
-        self.groebner_basis()
-        if not self._staircase_cofinite():
+        caps = self._pure_power_leads()
+        if None in caps:
             raise RingError("staircase is not cofinite; infinitely many standard monomials")
-        n = self.ring.nvars
-        caps = []
-        for i in range(n):
-            caps.append(
-                min(
-                    lead[i]
-                    for lead, _ in self._gb_leads
-                    if lead[i] > 0 and all(e == 0 for j, e in enumerate(lead) if j != i)
-                )
-            )
         leads = [lead for lead, _ in self._gb_leads]
         out = []
         for m in itertools.product(*(range(c) for c in caps)):
@@ -526,7 +506,7 @@ def _eliminate_intersection(terms_a, terms_b, p):
         tagged.append(tf)
     basis = buchberger(tagged, p, key=elimination_key)
     out = []
-    for g in basis:
+    for _, g in basis:
         if all(m[0] == 0 for m in g):
             out.append({m[1:]: c for m, c in g.items()})
     return out
@@ -545,10 +525,9 @@ def zero_ideal(ring: QuotientRing) -> Ideal:
 
 def ring_dimension(ring: QuotientRing) -> int:
     """Krull dimension of S/L via independent variable sets modulo lead terms."""
-    gb = zero_ideal(ring).groebner_basis()
-    lead_supports = [
-        frozenset(i for i, e in enumerate(max(g.terms, key=grevlex_key)) if e > 0) for g in gb
-    ]
+    handle = zero_ideal(ring)
+    handle.groebner_basis()
+    lead_supports = [frozenset(i for i, e in enumerate(lead) if e > 0) for lead, _ in handle._gb_leads]
     if frozenset() in lead_supports:
         raise RingError("relations generate the unit ideal")
     n = ring.nvars

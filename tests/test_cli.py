@@ -4,7 +4,7 @@ import os
 import pytest
 
 from conftest import session_path
-from fthresh.cli import Session, UsageError, emit_nu_table, read_nu_table, run
+from fthresh.cli import Session, UsageError, emit_nu_table, main, read_nu_table, run
 from fthresh.frobenius import threshold_estimate
 
 
@@ -209,6 +209,28 @@ def test_tc_and_frational_subcommands():
     )
     assert code == 0
     assert report["results"]["verdict"] == "not_certified"
+
+
+def test_tc_past_the_domain_screen_bound(tmp_path, capsys):
+    session = {
+        "p": 65521,
+        "variables": ["x", "y", "z"],
+        "relations": ["x^3 + y^3 + z^3"],
+        "ideals": {"J": ["x", "y"]},
+        "elements": {"u": "x", "c": "1"},
+        "options": {},
+    }
+    path = tmp_path / "fermat-65521.json"
+    path.write_text(json.dumps(session))
+    argv = ["tc", "--session", str(path), "--x", "u", "--J", "J", "--c", "c", "--e-max", "1"]
+    assert main(argv) == 2
+    assert "assume_domain" in capsys.readouterr().err
+    session["options"]["assume_domain"] = True
+    path.write_text(json.dumps(session))
+    code, report = run_report(argv)
+    assert code == 0
+    assert report["results"]["kind"] == "member"
+    assert "domain-asserted-by-user" in report["results"]["assumptions"]
 
 
 def test_fedder_and_fpt_subcommands():

@@ -3,7 +3,9 @@
 Each case pins sha256(json.dumps(results, sort_keys=True)) of one report, so
 witness strings, caveats, exact flags and brackets are all covered. The hashes
 were recorded before the nu-scan, bracket, staircase and product-matrix code
-was consolidated; a change that alters one of them changes a reported answer.
+was consolidated, and the ex-determinantal ones before Groebner basis elements
+carried their leading terms; a change that alters one of them changes a
+reported answer.
 Arguments are split on spaces, so generator lists are written without them.
 """
 
@@ -125,6 +127,20 @@ GOLDEN = [
      (0, "abd28617bb10a374a15f05e0bbd10c16c38b3fb1d58b6ec226840651ed8f20b1")),
     ("ex-fermat-cubic", "nu --a x+y,z^2 --J J --e 2",
      (0, "03e90ddb987bb82ee311963f44ec375a9026ea60c3aede4e3958e3f7ebf349f9")),
+    # the six-variable fixture: elimination-order bases (tag-variable colons,
+    # the splitting colon (L^[2] : L)) and grevlex bases of m^[q] + L
+    ("ex-determinantal", "gb --a minors",
+     (0, "817cda0031eb64c269cbc53294c7ea38e4b9e3389b88f01e53fd06503b9b9396")),
+    ("ex-determinantal", "colon --a m --b minors",
+     (0, "574865a5d6745620952f3367579d16f0ff5d13580847d42d3e1c6fc0b8691c21")),
+    ("ex-determinantal", "fedder",
+     (0, "fe2cb4a1d81f827aa0d4ac398ff29c9822af6f79d389e8d104960f491645e01a")),
+    ("ex-determinantal", "fpt --a m",
+     "FPurityError"),
+    ("ex-determinantal", "threshold --a m --J m",
+     (0, "7adc438aa8530812622adde6cbac6264bb9467af45716940fe6da4fbd6bcd85c")),
+    ("ex-determinantal", "check --name reduction --a m",
+     (0, "11af31cb0697fd9ceb78529b15562f1feca16a599ba1354b5ba94ee63c18ad83")),
 ]
 
 

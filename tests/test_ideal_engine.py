@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fthresh import Ideal, QuotientRing, RingError, ring_dimension
+from fthresh.ideals import buchberger
+from fthresh.ring import elimination_key, grevlex_key
 from oracles import macaulay_member
 
 
@@ -127,6 +129,30 @@ def test_reduced_basis_idempotent(seed):
     basis = ideal.groebner_basis()
     again = Ideal(ring, list(basis))
     assert [g.terms for g in again.groebner_basis()] == [g.terms for g in basis]
+
+
+@pytest.mark.parametrize("order", [grevlex_key, elimination_key], ids=["grevlex", "elimination"])
+@pytest.mark.parametrize("seed", range(6))
+def test_reduced_basis_independent_of_generator_list(seed, order):
+    # the reduced basis is unique, so no generator list of the same ideal may move it
+    ring = QuotientRing(3, ["t", "x", "y", "z"])
+    rng = random.Random(500 + seed)
+    gens = list(_random_ideal(rng, ring, count=3).generators)
+
+    def member():
+        out = ring.zero()
+        for g in gens:
+            shift = tuple(rng.randint(0, 1) for _ in range(ring.nvars))
+            out = out + (g * ring.monomial(shift)).scale(rng.randint(0, 2))
+        return out
+
+    basis = buchberger([g.terms for g in gens], 3, key=order)
+    shuffled = rng.sample(gens, len(gens))
+    repeated = gens + gens[::-1]
+    redundant = gens + [member() for _ in range(3)] + [ring.from_terms(g) for _, g in basis]
+    rng.shuffle(redundant)
+    for variant in (shuffled, repeated, redundant):
+        assert buchberger([g.terms for g in variant], 3, key=order) == basis
 
 
 @pytest.mark.parametrize("seed", range(8))
