@@ -148,7 +148,7 @@ def initial_form(f: Polynomial, ring: QuotientRing, cutoff: int) -> Polynomial:
 
 def _column_layout(nvars: int, N: int):
     columns = list(monomials_up_to_degree(nvars, N))
-    columns.sort(key=lambda m: (sum(m), grevlex_key(m)))
+    columns.sort(key=grevlex_key)
     return columns, {m: j for j, m in enumerate(columns)}
 
 
@@ -221,7 +221,7 @@ def _pieces_to_polynomials(ring: QuotientRing, pieces, D: int):
     out = []
     for d in range(D + 1):
         mons = list(monomials_of_degree(ring.nvars, d))
-        mons.sort(key=lambda m: (sum(m), grevlex_key(m)))
+        mons.sort(key=grevlex_key)
         for row in pieces[d]:
             terms = {m: c for m, c in zip(mons, row) if c}
             if terms:

@@ -225,7 +225,7 @@ def check_lemma22(a: Ideal, b: Ideal) -> CheckReport:
 
 def _separating_piece_row(ring, rows_a, rows_b, degree):
     mons = list(monomials_of_degree(ring.nvars, degree))
-    mons.sort(key=lambda m: (sum(m), grevlex_key(m)))
+    mons.sort(key=grevlex_key)
     mat_a = (
         np.array(rows_a, dtype=np.int64)
         if rows_a
