@@ -174,14 +174,17 @@ def _scan_frontier(a: Ideal, target: Ideal, seeds=None):
         t += 1
 
 
-def _check_preconditions(a: Ideal, J: Ideal):
-    if a.ring != J.ring:
-        raise RingError("ideals live in different rings")
-    ring = a.ring
-    m_plus_l = ring.power_of_maximal_ideal(1)
+def _check_generators_in_m(a: Ideal):
+    m_plus_l = a.ring.power_of_maximal_ideal(1)
     for g in a.generators:
         if not m_plus_l.contains_poly(g):
             raise RingError(f"generator {g} is not in the maximal ideal")
+
+
+def _check_preconditions(a: Ideal, J: Ideal):
+    if a.ring != J.ring:
+        raise RingError("ideals live in different rings")
+    _check_generators_in_m(a)
     if not J.is_unit() and not J.is_m_primary():
         raise RingError("the bracket ideal must be m-primary")
 

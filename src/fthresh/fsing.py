@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .frobenius import ThresholdEstimate, _bracket, _scan, threshold_estimate
+from .frobenius import ThresholdEstimate, _bracket, _check_generators_in_m, _scan, threshold_estimate
 from .ideals import Ideal, zero_ideal
 from .ring import Polynomial, QuotientRing, RingError, transfer
 
@@ -79,10 +79,7 @@ def fpt_estimate(
     ring = a.ring
     if not fedder_f_pure(ring):
         raise FPurityError("the presentation is not F-pure; b_a(q) is undefined")
-    m_plus_l = ring.power_of_maximal_ideal(1)
-    for g in a.generators:
-        if not m_plus_l.contains_poly(g):
-            raise RingError(f"generator {g} is not in the maximal ideal")
+    _check_generators_in_m(a)
     S = _ambient(ring)
     a_S = Ideal(S, [transfer(g, S) for g in a.generators])
     p = ring.p

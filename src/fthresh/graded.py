@@ -178,26 +178,19 @@ def _product_rows(gen_polys, nvars: int, N: int, col_index):
 
 
 def _pieces_at(ring: QuotientRing, gen_polys, D: int, N: int):
-    """Degree pieces i <= D of the span of bounded products, as canonical matrices.
+    """Degree pieces d <= D of the span of bounded products, as canonical term dicts.
 
     Columns are ordered by ascending degree, so echelon rows whose pivot sits
-    in the degree-i block span exactly the part of the row space vanishing
-    below degree i; their degree-i components are the truncated piece.
+    in degree d span exactly the part of the row space vanishing below
+    degree d; their degree-d components, in pivot order, are the truncated piece.
     """
     columns, col_index = _column_layout(ring.nvars, N)
-    mat = _product_rows(gen_polys, ring.nvars, N, col_index)[1]
-    reduced, pivots = linalg.rref(mat, ring.p)
-    degree_of_col = [sum(m) for m in columns]
-    block = {}
-    for d in range(D + 1):
-        block[d] = [j for j, m in enumerate(columns) if degree_of_col[j] == d]
-    pieces = {}
-    for d in range(D + 1):
-        rows = []
-        for row, c in zip(reduced, pivots):
-            if degree_of_col[c] == d:
-                rows.append(tuple(int(row[j]) for j in block[d]))
-        pieces[d] = tuple(rows)
+    rows, pivots = linalg.rref(_product_rows(gen_polys, ring.nvars, N, col_index)[1], ring.p)
+    pieces = {d: [] for d in range(D + 1)}
+    for row, c in zip(rows, pivots):
+        d = sum(columns[c])
+        if d <= D:
+            pieces[d].append({columns[j]: v for j, v in row.items() if sum(columns[j]) == d})
     return pieces
 
 
@@ -215,18 +208,6 @@ def _stabilized_pieces(ring: QuotientRing, gen_polys, D: int):
             stable = 0
         pieces = nxt
     return pieces, N
-
-
-def _pieces_to_polynomials(ring: QuotientRing, pieces, D: int):
-    out = []
-    for d in range(D + 1):
-        mons = list(monomials_of_degree(ring.nvars, d))
-        mons.sort(key=grevlex_key)
-        for row in pieces[d]:
-            terms = {m: c for m, c in zip(mons, row) if c}
-            if terms:
-                out.append(ring.from_terms(terms))
-    return out
 
 
 # -- graded presentations --------------------------------------------------------
@@ -249,7 +230,7 @@ def gr_presentation(ring: QuotientRing, D: int | None = None) -> GradedPresentat
         return GradedPresentation(ring, graded, D, True, "homogeneous")
     pieces, _ = _stabilized_pieces(ring, list(basis), D)
     ambient = QuotientRing(ring.p, ring.variables)
-    gens = _pieces_to_polynomials(ambient, pieces, D)
+    gens = [ambient.from_terms(t) for piece in pieces.values() for t in piece]
     graded = QuotientRing(ring.p, ring.variables, gens)
     return GradedPresentation(ring, graded, D, False, "macaulay")
 
@@ -276,7 +257,7 @@ def gr_of_ideal(a: Ideal, presentation: GradedPresentation, D: int | None = None
             return GradedIdeal(Ideal(graded, [transfer(lowest, graded)]), True, D)
     lifted = list(a.generators) + list(ring.relations)
     pieces, _ = _stabilized_pieces(ring, lifted, D)
-    gens = _pieces_to_polynomials(graded, pieces, D)
+    gens = [graded.from_terms(t) for piece in pieces.values() for t in piece]
     return GradedIdeal(Ideal(graded, gens), False, D)
 
 

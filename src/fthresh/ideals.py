@@ -423,7 +423,7 @@ class Ideal:
             k += 1
         return k
 
-    def standard_monomials(self, max_degree=None):
+    def standard_monomials(self):
         """Monomials outside the lead-term staircase, ascending; finite iff cofinite."""
         caps = self._pure_power_leads()
         if None in caps:
@@ -431,8 +431,6 @@ class Ideal:
         leads = [lead for lead, _ in self._gb_leads]
         out = []
         for m in itertools.product(*(range(c) for c in caps)):
-            if max_degree is not None and sum(m) > max_degree:
-                continue
             if not any(monomial_divides(lead, m) for lead in leads):
                 out.append(m)
         out.sort(key=grevlex_key)

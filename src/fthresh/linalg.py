@@ -1,11 +1,12 @@
 """Linear algebra over GF(p) on numpy integer matrices.
 
-Entries are canonical representatives in [0, p). `rref` takes and returns
-dense matrices, but eliminates sparsely: the Macaulay matrices of the
-tangent-cone code hold one to three nonzeros per row (1.1 to 2.0 on
-average) in thousands of columns, so it reads the nonzeros once, reduces
-rows held as dicts and writes the echelon form back at the end. Its cost
-follows the nonzeros and their fill-in, not rows x columns.
+Entries are canonical representatives in [0, p). `rref` takes a dense
+matrix and returns its pivot rows as sparse dicts: the Macaulay matrices of
+the tangent-cone code hold one to three nonzeros per row (1.1 to 2.0 on
+average) in thousands of columns, so it reads the nonzeros once and reduces
+rows held as dicts. Its cost follows the nonzeros and their fill-in, not
+rows x columns. The input is still dense because `terms_matrix` builds it
+and the benchmark's tracer reads its size (ROADMAP item 1).
 """
 
 from __future__ import annotations
@@ -16,16 +17,20 @@ import numpy as np
 
 
 def rref(matrix: np.ndarray, p: int):
-    """Reduced row echelon form mod p.
+    """Reduced row echelon form mod p, as its pivot rows.
 
-    Returns (R, pivot_columns). R has the same shape with zero rows at the
-    bottom; pivot entries are 1 and their columns are cleared.
+    Returns (rows, pivot_columns): rows[k] is the dict {column: entry} of the
+    k-th pivot row, with its pivot entry 1 and no zero entries, and every
+    other pivot column is cleared from it. Rows come in pivot order. The
+    input is a dense matrix (see the module docstring); the zero rows of the
+    echelon form are not returned.
 
     Each row is reduced, as a dict, against the pivot rows found so far; what
     is left is made monic at its leftmost column, which becomes a pivot and is
-    cleared from the older pivot rows through a column-to-rows index. Pivot
-    rows keep only their tails (the pivot entry 1 is implied), and a tail
-    holds no pivot column, so one pass over a row's pivot columns reduces it.
+    cleared from the older pivot rows through a column-to-rows index. While
+    reducing, pivot rows keep only their tails (the pivot entry 1 is implied),
+    and a tail holds no pivot column, so one pass over a row's pivot columns
+    reduces it.
     """
     a = np.asarray(matrix, dtype=np.int64)
     row_of, col_of = np.nonzero(a)
@@ -65,12 +70,7 @@ def rref(matrix: np.ndarray, p: int):
             users[j].add(c)
         tails[c] = tail
     pivots = sorted(tails)
-    out = np.zeros(a.shape, dtype=np.int64)
-    for r, c in enumerate(pivots):
-        out[r, c] = 1
-        for j, w in tails[c].items():
-            out[r, j] = w
-    return out, pivots
+    return [{c: 1, **tails[c]} for c in pivots], pivots
 
 
 def rank(matrix: np.ndarray, p: int) -> int:
@@ -87,15 +87,6 @@ def terms_matrix(rows, col_index) -> np.ndarray:
     return mat
 
 
-def in_row_space(vector: np.ndarray, basis_rref: np.ndarray, pivots, p: int) -> bool:
-    """Membership of a vector in a row space given its RREF basis."""
-    v = np.array(vector, dtype=np.int64) % p
-    for row, c in zip(basis_rref, pivots):
-        if v[c]:
-            v = (v - v[c] * row) % p
-    return not v.any()
-
-
 def solve(matrix: np.ndarray, target: np.ndarray, p: int):
     """One solution x of x @ matrix = target over GF(p), or None.
 
@@ -109,7 +100,7 @@ def solve(matrix: np.ndarray, target: np.ndarray, p: int):
     for row, c in zip(r, pivots):
         if c == rows:
             return None
-        x[c] = row[rows]
+        x[c] = row.get(rows, 0)
     return x
 
 
@@ -123,5 +114,5 @@ def kernel(matrix: np.ndarray, p: int) -> np.ndarray:
     for i, fc in enumerate(free):
         basis[i, fc] = 1
         for row, pc in zip(r, pivots):
-            basis[i, pc] = (-row[fc]) % p
+            basis[i, pc] = (-row.get(fc, 0)) % p
     return basis

@@ -11,10 +11,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import linalg
-from .frobenius import nu, verify_theorem_A
+from .frobenius import _check_generators_in_m, nu, verify_theorem_A
 from .graded import (
     AtLeast,
     TruncationError,
@@ -28,7 +26,6 @@ from .ring import (
     Polynomial,
     QuotientRing,
     RingError,
-    grevlex_key,
     monomials_of_degree,
     transfer,
 )
@@ -116,10 +113,7 @@ def check_reduction(a: Ideal, n_max: int) -> CheckReport:
     """Minimal n0 with m^{n+1} = a m^n for all n0 <= n <= n_max, if any."""
     ring = a.ring
     inputs = {"ring": repr(ring), "a": repr(a), "n_max": n_max}
-    m_plus_l = ring.power_of_maximal_ideal(1)
-    for g in a.generators:
-        if not m_plus_l.contains_poly(g):
-            raise RingError(f"generator {g} is not in the maximal ideal")
+    _check_generators_in_m(a)
     m = ring.maximal_ideal()
     flags = []
     for n in range(n_max + 1):
@@ -224,18 +218,11 @@ def check_lemma22(a: Ideal, b: Ideal) -> CheckReport:
 
 
 def _separating_piece_row(ring, rows_a, rows_b, degree):
-    mons = list(monomials_of_degree(ring.nvars, degree))
-    mons.sort(key=grevlex_key)
-    mat_a = (
-        np.array(rows_a, dtype=np.int64)
-        if rows_a
-        else np.zeros((0, len(mons)), dtype=np.int64)
-    )
-    basis, pivots = linalg.rref(mat_a, ring.p)
-    basis = basis[: len(pivots)]
+    """First row of b outside the span of the echelon rows of a, as a polynomial."""
+    index = {m: j for j, m in enumerate(monomials_of_degree(ring.nvars, degree))}
     for row in rows_b:
-        if not linalg.in_row_space(np.array(row, dtype=np.int64), basis, pivots, ring.p):
-            return ring.from_terms({m: c for m, c in zip(mons, row) if c})
+        if linalg.rank(linalg.terms_matrix(rows_a + [row], index), ring.p) > len(rows_a):
+            return ring.from_terms(row)
     return None
 
 

@@ -3,9 +3,10 @@
 Each case pins sha256(json.dumps(results, sort_keys=True)) of one report, so
 witness strings, caveats, exact flags and brackets are all covered. The hashes
 were recorded before the nu-scan, bracket, staircase and product-matrix code
-was consolidated, and the ex-determinantal ones before Groebner basis elements
-carried their leading terms; a change that alters one of them changes a
-reported answer.
+was consolidated, the ex-determinantal ones before Groebner basis elements
+carried their leading terms, and the Macaulay-piece ones (truncated cones,
+initial ideals, lemma22 separating classes) before `linalg.rref` returned only
+its pivot rows; a change that alters one of them changes a reported answer.
 Arguments are split on spaces, so generator lists are written without them.
 """
 
@@ -141,6 +142,26 @@ GOLDEN = [
      (0, "7adc438aa8530812622adde6cbac6264bb9467af45716940fe6da4fbd6bcd85c")),
     ("ex-determinantal", "check --name reduction --a m",
      (0, "11af31cb0697fd9ceb78529b15562f1feca16a599ba1354b5ba94ee63c18ad83")),
+    # Macaulay pieces: truncated cones, truncated initial ideals and the
+    # separating classes of lemma22
+    ("ex-determinantal", "gr",
+     (0, "144578c03a0ca30f32be5c49a501b960ba0ff3c52d2228aa247fa808223dd689")),
+    ("ex-determinantal", "gr-ideal --a m",
+     (0, "a185ef6bbcbd1796517f347f1d0557693a68c74fe1c4c112b00a839985edb5e2")),
+    ("ex-determinantal", "verify-gr --a minors",
+     (0, "54a3f37c2dee5ab016f4a7a7b1f36abd8f538be8070b176152cdc2422035b589")),
+    ("ex-blowup", "gr-ideal --a m",
+     (0, "d4badeefa7d754be13dc9089a98ea4254e2eb3e96e0d860990cada415ac8407b")),
+    ("ex-cusp", "gr-ideal --a J",
+     (0, "87d221fe39455eeebcca5ff476ae7797fc088b012c66dca18d95107bc599e35d")),
+    ("ex-cusp", "gr-ideal --a m",
+     (0, "081abe01f8c9e0a0dcb48060577a0b0dd0087c6848175adebe1fc909d17e5ded")),
+    ("ex-blowup", "check --name lemma22 --a x^2,y,z,w --b m",
+     (0, "f3b5a19ed7ecba41001402b40bc0f2a86828184a8fa220a108422a99b3fab22a")),
+    ("ex-cusp", "check --name lemma22 --a x,y^2 --b m",
+     (0, "bc60c71af66116c455e4ed09d698c3422649cef0251f96edef4f9c01836f4df1")),
+    ("ex-cusp", "check --name lemma22 --a y^2,x*y,x^2 --b x*y,y^2,x",
+     (0, "b0006de1a0f20b5adaad22953f79165f4d371c9d16e3db1511a6cca650ac1009")),
 ]
 
 

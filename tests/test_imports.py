@@ -1,0 +1,43 @@
+"""Every name a library module imports is used in that module.
+
+Each `src/fthresh/*.py` except `__init__.py` (whose imports are the package's
+exports) is parsed with `ast`; an imported name counts as used when it appears
+as a name anywhere in the module, annotations included. `from __future__`
+imports are directives, not names.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "fthresh"
+MODULES = sorted(path for path in SRC.glob("*.py") if path.name != "__init__.py")
+
+
+def unused_imports(source: str):
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_modules_are_found():
+    assert len(MODULES) == 8
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[path.stem for path in MODULES])
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []
+
+
+def test_unused_import_is_reported():
+    source = "import numpy as np\nfrom .ring import grevlex_key, transfer\n\ntransfer(1)\n"
+    assert unused_imports(source) == [(1, "np"), (2, "grevlex_key")]
