@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from . import __version__
 from .frobenius import NuRecord, ThresholdEstimate, nu, threshold_estimate, verify_theorem_A
-from .fsing import f_rational_probe, fedder_f_pure, fpt_estimate, tc_member
+from .fsing import FptEstimate, f_rational_probe, fedder_f_pure, fpt_estimate, tc_member
 from .graded import (
     AtLeast,
     gr_of_ideal,
@@ -132,8 +132,12 @@ def _ser_record(r: NuRecord, mu: int) -> dict:
 
 
 def _ser_estimate(est: ThresholdEstimate) -> dict:
+    return _ser_bracket(est, [_ser_record(r, est.mu) for r in est.records])
+
+
+def _ser_bracket(est: ThresholdEstimate | FptEstimate, records: list) -> dict:
     return {
-        "records": [_ser_record(r, est.mu) for r in est.records],
+        "records": records,
         "mu": est.mu,
         "lower": _frac(est.lower),
         "upper": _frac(est.upper),
@@ -326,14 +330,7 @@ def _cmd_fpt(session, args):
         _e_max(session, args),
         args.max_denominator or session.options.get("max_denominator", 10**6),
     )
-    return 0, {
-        "records": [{"e": e, "q": q, "b": b} for e, q, b in est.records],
-        "mu": est.mu,
-        "lower": _frac(est.lower),
-        "upper": _frac(est.upper),
-        "guess": _frac(est.guess) if est.guess is not None else None,
-        "caveats": sorted(est.caveats),
-    }
+    return 0, _ser_bracket(est, [{"e": e, "q": q, "b": b} for e, q, b in est.records])
 
 
 def _cmd_tc(session, args):

@@ -126,20 +126,14 @@ def initial_form(f: Polynomial, ring: QuotientRing, cutoff: int) -> Polynomial:
     modulus = ring.power_of_maximal_ideal(r + 1)
     target = modulus.normal_form(f)
     degree_r = [ring.monomial(m) for m in monomials_of_degree(ring.nvars, r)]
-    images = [modulus.normal_form(g) for g in degree_r]
-    columns = sorted(
-        {m for g in images for m in g.terms} | set(target.terms), key=grevlex_key
-    )
-    col_index = {m: j for j, m in enumerate(columns)}
-    mat = linalg.terms_matrix([g.terms for g in images], col_index)
-    vec = linalg.terms_matrix([target.terms], col_index)[0]
-    solution = linalg.solve(mat, vec, ring.p)
+    images = [modulus.normal_form(g).terms for g in degree_r]
+    solution = linalg.solve(images, target.terms, ring.p)
     if solution is None:
         raise RingError("initial form solve failed; order computation is inconsistent")
     terms = {}
     for coeff, mono in zip(solution, degree_r):
         if coeff:
-            terms[next(iter(mono.terms))] = int(coeff)
+            terms[next(iter(mono.terms))] = coeff
     return ring.from_terms(terms)
 
 
@@ -147,34 +141,33 @@ def initial_form(f: Polynomial, ring: QuotientRing, cutoff: int) -> Polynomial:
 
 
 def _column_layout(nvars: int, N: int):
-    columns = list(monomials_up_to_degree(nvars, N))
-    columns.sort(key=grevlex_key)
-    return columns, {m: j for j, m in enumerate(columns)}
+    return sorted(monomials_up_to_degree(nvars, N), key=grevlex_key)
 
 
 # Most cells (rows x columns) of a Macaulay matrix; a larger one is refused
-# before allocation. The largest the tests and benchmark build has 72,264,192.
+# before any row is built. The largest the tests and benchmark build has 72,264,192.
 _MAX_MATRIX_CELLS = 2**27
 
 
-def _product_rows(gen_polys, nvars: int, N: int, col_index):
-    """The products g*x^m of degree <= N as term dicts, and their coefficient matrix.
+def _product_rows(gen_polys, nvars: int, N: int):
+    """The products g*x^m of degree <= N as term dicts, yielded one at a time.
 
-    Raises TruncationError instead of allocating more than _MAX_MATRIX_CELLS cells.
+    Raises TruncationError, before building anything, when the rows over all
+    monomials of degree <= N make more than _MAX_MATRIX_CELLS cells.
     """
     gens = [g for g in gen_polys if g.degree() <= N]
     nrows = sum(math.comb(N - g.degree() + nvars, nvars) for g in gens)
-    if nrows * len(col_index) > _MAX_MATRIX_CELLS:
+    ncols = math.comb(N + nvars, nvars)
+    if nrows * ncols > _MAX_MATRIX_CELLS:
         raise TruncationError(
-            f"Macaulay matrix of {nrows} x {len(col_index)} cells at product degree {N} "
+            f"Macaulay matrix of {nrows} x {ncols} cells at product degree {N} "
             f"exceeds the bound of {_MAX_MATRIX_CELLS} cells"
         )
-    rows = [
+    return (
         {monomial_mul(gm, m): c for gm, c in g.terms.items()}
         for g in gens
         for m in monomials_up_to_degree(nvars, N - g.degree())
-    ]
-    return rows, linalg.terms_matrix(rows, col_index)
+    )
 
 
 def _pieces_at(ring: QuotientRing, gen_polys, D: int, N: int):
@@ -184,13 +177,15 @@ def _pieces_at(ring: QuotientRing, gen_polys, D: int, N: int):
     in degree d span exactly the part of the row space vanishing below
     degree d; their degree-d components, in pivot order, are the truncated piece.
     """
-    columns, col_index = _column_layout(ring.nvars, N)
-    rows, pivots = linalg.rref(_product_rows(gen_polys, ring.nvars, N, col_index)[1], ring.p)
+    # rows first: their cell bound fires before the column list is built
+    echelon = linalg.echelon(
+        _product_rows(gen_polys, ring.nvars, N), _column_layout(ring.nvars, N), ring.p
+    )
     pieces = {d: [] for d in range(D + 1)}
-    for row, c in zip(rows, pivots):
-        d = sum(columns[c])
+    for lead, row in echelon:
+        d = sum(lead)
         if d <= D:
-            pieces[d].append({columns[j]: v for j, v in row.items() if sum(columns[j]) == d})
+            pieces[d].append({m: v for m, v in row.items() if sum(m) == d})
     return pieces
 
 
@@ -302,12 +297,11 @@ def verify_gr_claim(claimed, ring: QuotientRing, D: int | None = None) -> GrClai
     basis = zero_ideal(ring).groebner_basis()
     if not basis:
         return GrClaimReport(False, "the ring has no relations; in(L) is the zero ideal")
-    pieces, N = _stabilized_pieces(ring, list(basis), D)
-    columns, col_index = _column_layout(ring.nvars, N)
-    rows, mat = _product_rows(list(basis), ring.nvars, N, col_index)
+    _, N = _stabilized_pieces(ring, list(basis), D)
+    rows = list(_product_rows(list(basis), ring.nvars, N))
     witnesses = {}
     for g in claimed_polys:
-        witness = _realize_initial_form(ring, rows, mat, columns, g)
+        witness = _realize_initial_form(ring, rows, g)
         if witness is None:
             return GrClaimReport(
                 False,
@@ -333,21 +327,15 @@ def verify_gr_claim(claimed, ring: QuotientRing, D: int | None = None) -> GrClai
     return GrClaimReport(True, "realizability and Hilbert agreement hold", witnesses, h_ring, h_claimed, D)
 
 
-def _realize_initial_form(ring, rows, mat, columns, target: Polynomial):
-    """Explicit element of the span of the product rows whose initial form is target."""
-    if mat.shape[0] == 0:
-        return None
+def _realize_initial_form(ring, rows, target: Polynomial):
+    """Element of the span of the product rows equal to target in degrees <= deg(target)."""
     r = target.min_degree()
-    keep = [j for j, m in enumerate(columns) if sum(m) <= r]
-    reindex = {columns[j]: i for i, j in enumerate(keep)}
-    if any(m not in reindex for m in target.terms):
-        return None
-    vec = linalg.terms_matrix([target.terms], reindex)[0]
-    solution = linalg.solve(mat[:, keep], vec, ring.p)
+    cut = [{m: c for m, c in row.items() if sum(m) <= r} for row in rows]
+    solution = linalg.solve(cut, target.terms, ring.p)
     if solution is None:
         return None
     element = ring.zero()
     for coeff, row in zip(solution, rows):
         if coeff:
-            element = element + Polynomial(ring, row).scale(int(coeff))
+            element = element + Polynomial(ring, row).scale(coeff)
     return element

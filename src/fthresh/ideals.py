@@ -18,8 +18,6 @@ import heapq
 import itertools
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import linalg
 from .ring import (
     Polynomial,
@@ -401,27 +399,15 @@ class Ideal:
         if self._nilpotency is None:
             if not self.is_m_primary():
                 raise RingError("nilpotency degree requires an m-primary ideal")
-            n = self.ring.nvars
-            cap = 1 + sum(self._pure_power_cap(i) - 1 for i in range(n))
+            # m-primary, so some m^N lies inside and the loop ends
             N = 1
-            while N <= cap:
-                if all(
-                    self.contains_poly(self.ring.monomial(m))
-                    for m in monomials_of_degree(n, N)
-                ):
-                    break
+            while not all(
+                self.contains_poly(self.ring.monomial(m))
+                for m in monomials_of_degree(self.ring.nvars, N)
+            ):
                 N += 1
             self._nilpotency = N
         return self._nilpotency
-
-    def _pure_power_cap(self, i: int) -> int:
-        k = self._pure_power_leads()[i]
-        if k is None:
-            raise RingError("staircase is not cofinite")
-        # leads bound reducibility, not membership, so grow until pure power lands inside
-        while not self.contains_poly(self.ring.monomial(tuple(k if j == i else 0 for j in range(self.ring.nvars)))):
-            k += 1
-        return k
 
     def standard_monomials(self):
         """Monomials outside the lead-term staircase, ascending; finite iff cofinite."""
@@ -451,19 +437,14 @@ class Ideal:
         if not self.is_m_primary():
             raise RingError("socle requires an m-primary ideal")
         std = self.standard_monomials()
-        index = {m: i for i, m in enumerate(std)}
-        s = len(std)
-        p = self.ring.p
-        blocks = []
-        for v in self.ring.variables:
-            x = self.ring.variable(v)
-            images = [self.normal_form(self.ring.monomial(m) * x).terms for m in std]
-            blocks.append(linalg.terms_matrix(images, index).T)
-        ker = linalg.kernel(np.concatenate(blocks, axis=0), p)
-        reps = []
-        for row in ker:
-            terms = {std[j]: int(row[j]) for j in range(s) if row[j]}
-            reps.append(Polynomial(self.ring, terms))
+        xs = [(v, self.ring.variable(v)) for v in self.ring.variables]
+        # the row of m holds the normal forms of x_v * m, keyed by (v, monomial)
+        rows = [
+            {(v, n): c for v, x in xs for n, c in self.normal_form(self.ring.monomial(m) * x).terms.items()}
+            for m in std
+        ]
+        kernel = linalg.kernel(rows, self.ring.p)
+        reps = [Polynomial(self.ring, {m: c for m, c in zip(std, x) if c}) for x in kernel]
         reps.sort(key=lambda f: grevlex_key(_leading(f.terms, grevlex_key)))
         return SocleBasis(tuple(reps))
 

@@ -1,12 +1,15 @@
-"""Linear algebra over GF(p) on numpy integer matrices.
+"""Linear algebra over GF(p) on term-dict rows.
 
-Entries are canonical representatives in [0, p). `rref` takes a dense
-matrix and returns its pivot rows as sparse dicts: the Macaulay matrices of
-the tangent-cone code hold one to three nonzeros per row (1.1 to 2.0 on
-average) in thousands of columns, so it reads the nonzeros once and reduces
-rows held as dicts. Its cost follows the nonzeros and their fill-in, not
-rows x columns. The input is still dense because `terms_matrix` builds it
-and the benchmark's tracer reads its size (ROADMAP item 1).
+Callers hand rows as dicts {key: entry} with any hashable key (a monomial, a
+(variable, monomial) pair, a column number). `echelon` reduces them over an
+ordered column list; `rank`, `solve` and `kernel` reduce the transposed
+system, whose RREF depends only on its row space, so neither key order nor
+absent keys can change their results. Only `_dense` builds a dense matrix,
+as the input of `rref`, which reads its nonzeros once and eliminates sparsely:
+Macaulay matrices hold one to three nonzeros per row in thousands of columns,
+so the cost follows the nonzeros and their fill-in, not rows x columns. `rref`
+still takes a dense matrix because the benchmark's tracer sizes a call by
+`args[0].size` and `tests/oracles.rref_mod_p` checks it (ROADMAP item 1).
 """
 
 from __future__ import annotations
@@ -73,46 +76,65 @@ def rref(matrix: np.ndarray, p: int):
     return [{c: 1, **tails[c]} for c in pivots], pivots
 
 
-def rank(matrix: np.ndarray, p: int) -> int:
-    _, pivots = rref(matrix, p)
-    return len(pivots)
+def _dense(rows, columns) -> np.ndarray:
+    """int64 matrix of term dicts over the ordered columns.
 
-
-def terms_matrix(rows, col_index) -> np.ndarray:
-    """Coefficient matrix of term dicts: row i holds rows[i], monomial m in column col_index[m]."""
-    mat = np.zeros((len(rows), len(col_index)), dtype=np.int64)
-    for i, row in enumerate(rows):
-        for m, c in row.items():
-            mat[i, col_index[m]] = c
+    A row can be dropped once read: only its nonzeros are kept, as triplets,
+    until the matrix is allocated and filled in one assignment.
+    """
+    index = {key: j for j, key in enumerate(columns)}
+    at, to, values = [], [], []
+    height = 0
+    for row in rows:
+        for key, v in row.items():
+            at.append(height)
+            to.append(index[key])
+            values.append(v)
+        height += 1
+    mat = np.zeros((height, len(index)), dtype=np.int64)
+    mat[at, to] = values
     return mat
 
 
-def solve(matrix: np.ndarray, target: np.ndarray, p: int):
-    """One solution x of x @ matrix = target over GF(p), or None.
+def echelon(rows, columns, p: int):
+    """(pivot key, {key: entry}) for each RREF row of rows over the column sequence, in pivot order."""
+    reduced, pivots = rref(_dense(rows, columns), p)
+    return [(columns[c], {columns[j]: v for j, v in row.items()}) for row, c in zip(reduced, pivots)]
 
-    The returned solution is the RREF particular solution (free coordinates
-    zero), so it is deterministic.
-    """
-    rows = matrix.shape[0]
-    aug = np.concatenate([matrix.T, np.reshape(target, (-1, 1))], axis=1)
-    r, pivots = rref(aug, p)
-    x = np.zeros(rows, dtype=np.int64)
-    for row, c in zip(r, pivots):
-        if c == rows:
+
+def _transposed_rref(rows, p: int):
+    """rref of the matrix whose column i is rows[i], one matrix row per key."""
+    by_key = defaultdict(dict)
+    for i, row in enumerate(rows):
+        for key, v in row.items():
+            by_key[key][i] = v
+    return rref(_dense(by_key.values(), range(len(rows))), p)
+
+
+def rank(rows, p: int) -> int:
+    return len(_transposed_rref(rows, p)[1])
+
+
+def solve(rows, target, p: int):
+    """The RREF particular solution x (free coordinates 0) of sum x[i]*rows[i] == target, or None."""
+    n = len(rows)
+    reduced, pivots = _transposed_rref([*rows, target], p)
+    x = [0] * n
+    for row, c in zip(reduced, pivots):
+        if c == n:
             return None
-        x[c] = row.get(rows, 0)
+        x[c] = row.get(n, 0)
     return x
 
 
-def kernel(matrix: np.ndarray, p: int) -> np.ndarray:
-    """Basis of {x : matrix @ x = 0} as rows, over GF(p)."""
-    cols = matrix.shape[1]
-    r, pivots = rref(matrix, p)
-    pivot_set = set(pivots)
-    free = [c for c in range(cols) if c not in pivot_set]
-    basis = np.zeros((len(free), cols), dtype=np.int64)
-    for i, fc in enumerate(free):
-        basis[i, fc] = 1
-        for row, pc in zip(r, pivots):
-            basis[i, pc] = (-row.get(fc, 0)) % p
+def kernel(rows, p: int):
+    """Basis of {x : sum x[i]*rows[i] == 0} over GF(p), one list per free coordinate."""
+    reduced, pivots = _transposed_rref(rows, p)
+    basis = []
+    for fc in sorted(set(range(len(rows))) - set(pivots)):
+        x = [0] * len(rows)
+        x[fc] = 1
+        for row, pc in zip(reduced, pivots):
+            x[pc] = -row.get(fc, 0) % p
+        basis.append(x)
     return basis

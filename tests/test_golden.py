@@ -6,7 +6,9 @@ were recorded before the nu-scan, bracket, staircase and product-matrix code
 was consolidated, the ex-determinantal ones before Groebner basis elements
 carried their leading terms, and the Macaulay-piece ones (truncated cones,
 initial ideals, lemma22 separating classes) before `linalg.rref` returned only
-its pivot rows; a change that alters one of them changes a reported answer.
+its pivot rows, and the initial-form, F-rationality, socle and colon-lemma
+ones before the callers of `linalg` handed it term-dict rows; a change that
+alters one of them changes a reported answer.
 Arguments are split on spaces, so generator lists are written without them.
 """
 
@@ -162,6 +164,34 @@ GOLDEN = [
      (0, "bc60c71af66116c455e4ed09d698c3422649cef0251f96edef4f9c01836f4df1")),
     ("ex-cusp", "check --name lemma22 --a y^2,x*y,x^2 --b x*y,y^2,x",
      (0, "b0006de1a0f20b5adaad22953f79165f4d371c9d16e3db1511a6cca650ac1009")),
+    # the solve, rank and kernel paths of linalg: initial forms, F-rationality
+    # colons, socles and passing colon-lemma injectivity tests
+    ("ex-blowup", "initial --x f",
+     (0, "d1c039d5d22134ef4dc6120adcd435ba9ed28d011f0746b04072a4f096491fff")),
+    ("ex-regular", "initial --x f",
+     (0, "ab99f25b75ddf2209a703e18c42ce6f156b7a292c27510dba19fc646d097e9bc")),
+    ("ex-cusp", "initial --x u",
+     (0, "3076b0af3fe7f129412d83e10b0adec63ae3742ee2381fd730db27b5fb9bdcca")),
+    ("ex-fermat-cubic", "initial --x u",
+     (0, "ccdfc947ed9cba3f06de12ac6d4a349087774806fe23d2116d21f48b3e84567a")),
+    ("ex-determinantal", "initial --x x11+x12*x22",
+     (0, "ab57e5d541b8649a3bb744fddc84f3a0417ec556c7e109eb83e9690649d90b4e")),
+    ("ex-cusp", "frational --J J --c c",
+     (0, "5babd3639f9e1d35e5913833d2f40a7e05d606fd473e544b9b22664ebf518e8c")),
+    ("ex-fermat-cubic", "frational --J J --c c",
+     (0, "efe4819e0a0e19a1b41f0bff10b112b143b371e05a7daf8c51639febd3470336")),
+    ("ex-regular", "socle --a m2",
+     (0, "dfb2c9635c3267c16a70734d49d6008430599d6233b33b6339f164a70a37f482")),
+    ("ex-cusp", "socle --a x^2,y^2",
+     (0, "6c8eccf7dc6aeca57ab95efb59656bd163c868d30eecbec888be681f8a58fec3")),
+    ("ex-blowup", "check --name colon-lemma --x z",
+     (0, "4246dd344ee7dfd7f14ee56bc83ddc0caf6c344efdd1e752abce5d3e65622328")),
+    ("ex-node4", "check --name colon-lemma --x z",
+     (0, "68fb9121960f1964db2373c3d66558693dcfe51139a0f5f247257ea3d76cffd3")),
+    ("ex-cusp", "check --name colon-lemma --x y",
+     (0, "3e746c9396c83275d974a7761578d63fcd145f3bb71a72e4992559e12277aa7b")),
+    ("ex-fermat-cubic", "check --name colon-lemma --x x",
+     (0, "7b79d020e10932588fead4c82353ddf59efe3dc926b10e8d7500c34602c22d04")),
 ]
 
 

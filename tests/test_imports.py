@@ -3,7 +3,8 @@
 Each `src/fthresh/*.py` except `__init__.py` (whose imports are the package's
 exports) is parsed with `ast`; an imported name counts as used when it appears
 as a name anywhere in the module, annotations included. `from __future__`
-imports are directives, not names.
+imports are directives, not names. Only `linalg.py` may import numpy: every
+other module hands it term-dict rows.
 """
 
 import ast
@@ -13,6 +14,17 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "fthresh"
 MODULES = sorted(path for path in SRC.glob("*.py") if path.name != "__init__.py")
+
+
+def imported_modules(source: str):
+    """Top-level package of every module an import statement names."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
 
 
 def unused_imports(source: str):
@@ -36,6 +48,16 @@ def test_modules_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=[path.stem for path in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[path.stem for path in MODULES])
+def test_only_linalg_imports_numpy(path):
+    assert ("numpy" in imported_modules(path.read_text())) == (path.name == "linalg.py")
+
+
+def test_numpy_import_is_found():
+    assert imported_modules("import numpy as np\nfrom . import linalg\n") == {"numpy"}
+    assert imported_modules("from numpy.linalg import solve\n") == {"numpy"}
 
 
 def test_unused_import_is_reported():

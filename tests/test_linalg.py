@@ -3,8 +3,10 @@
 `rref` eliminates sparsely and returns its pivot rows as dicts;
 `oracles.rref_mod_p` is plain dense Gaussian elimination. The RREF of a matrix
 is unique, so the pivots must agree and each pivot row must equal the oracle's
-row of the same rank, read as a dict of its nonzero entries. `rank`, `kernel`
-and `solve` are checked through the oracle's ranks.
+row of the same rank, read as a dict of its nonzero entries. `echelon` must
+give `rref`'s rows under the column keys, and `rank`, `kernel` and `solve`,
+which take term-dict rows, are checked through the oracle's ranks. Renaming
+the keys or reordering them inside each row leaves those three unchanged.
 """
 
 import json
@@ -17,6 +19,7 @@ from hypothesis.extra.numpy import arrays
 from conftest import session_path
 from fthresh import QuotientRing, linalg
 from fthresh.graded import _column_layout, _product_rows
+from fthresh.linalg import _dense
 from oracles import rref_mod_p
 
 PRIMES = [2, 3, 65521]
@@ -46,20 +49,26 @@ def check_rows(m, p):
 def check_against_oracle(m, p, rng):
     rows, cols = m.shape
     rank = check_rows(m, p)
-    assert linalg.rank(m, p) == rank
+    keys = [("col", j) for j in range(cols)]
+    keyed = [{keys[j]: v for j, v in row.items()} for row in as_dicts(m)]
+    assert linalg.echelon(keyed, keys, p) == [
+        (keys[c], {keys[j]: v for j, v in row.items()}) for row, c in zip(*linalg.rref(m, p))
+    ]
+    assert linalg.rank(as_dicts(m), p) == rank
 
-    k = linalg.kernel(m, p)
+    # the columns of m as rows: kernel gives the x with m @ x = 0
+    k = np.array(linalg.kernel(as_dicts(m.T), p), dtype=np.int64).reshape(-1, cols)
     assert k.shape == (cols - rank, cols)
     assert not ((m @ k.T) % p).any()
     assert oracle_rank(k, p) == cols - rank
 
     consistent_target = (rng.integers(0, p, size=rows) @ m) % p
     for target in (consistent_target, rng.integers(-p, 2 * p, size=cols)):
-        x = linalg.solve(m, target, p)
+        x = linalg.solve(as_dicts(m), as_dicts([target])[0], p)
         solvable = oracle_rank(np.vstack([m, target]), p) == rank
         if solvable:
-            assert x is not None and x.shape == (rows,)
-            assert not ((x @ m - target) % p).any()
+            assert x is not None and len(x) == rows
+            assert not ((np.array(x, dtype=np.int64) @ m - target) % p).any()
         else:
             assert x is None
 
@@ -139,7 +148,43 @@ def test_determinantal_macaulay_matrix():
     with open(session_path("ex-determinantal.json")) as fh:
         data = json.load(fh)
     ring = QuotientRing(data["p"], data["variables"], data["relations"])
-    _, col_index = _column_layout(ring.nvars, 7)
-    _, m = _product_rows(list(ring.relations), ring.nvars, 7, col_index)
-    assert m.shape[1] == len(col_index) and (m != 0).sum() <= 3 * m.shape[0]
+    columns = _column_layout(ring.nvars, 7)
+    rows = list(_product_rows(list(ring.relations), ring.nvars, 7))
+    index = {mono: j for j, mono in enumerate(columns)}
+    m = np.zeros((len(rows), len(columns)), dtype=np.int64)
+    for i, row in enumerate(rows):
+        for mono, v in row.items():
+            m[i, index[mono]] = v
+    assert (m != 0).sum() <= 3 * m.shape[0]
+    assert np.array_equal(_dense(iter(rows), columns), m)
     check_rows(m, ring.p)
+
+
+@st.composite
+def keyed_rows(draw):
+    """Term-dict rows over a few keys, a renaming of the keys, and a target."""
+    p = draw(st.sampled_from(PRIMES))
+    nkeys = draw(st.integers(1, 6))
+    entry = st.integers(-2 * p, 2 * p)
+    row = st.dictionaries(st.integers(0, nkeys - 1), entry, max_size=nkeys)
+    rows = draw(st.lists(row, max_size=7))
+    target = draw(row)
+    names = draw(st.permutations([("key", j) for j in range(nkeys)]))
+    return p, rows, target, names
+
+
+@given(keyed_rows(), st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_results_ignore_key_names_and_order(case, random):
+    """rank, solve and kernel see only the row space, not how keys are named or ordered."""
+    p, rows, target, names = case
+
+    def renamed(row):
+        items = [(names[key], v) for key, v in row.items()]
+        random.shuffle(items)
+        return dict(items)
+
+    moved = [renamed(row) for row in rows]
+    assert linalg.rank(moved, p) == linalg.rank(rows, p)
+    assert linalg.solve(moved, renamed(target), p) == linalg.solve(rows, target, p)
+    assert linalg.kernel(moved, p) == linalg.kernel(rows, p)
