@@ -218,14 +218,15 @@ def _cmd_socle(session, args):
     return 0, {"representatives": [str(r) for r in basis.representatives]}
 
 
-def _options_degree(session, args):
-    if args.degree is not None:
-        return args.degree
-    return session.options.get("D")
+def _option(session, value, key, default=None):
+    """The command-line value, else the session option, else the default; 0 is a value."""
+    if value is None:
+        value = session.options.get(key)
+    return default if value is None else value
 
 
 def _cmd_ord(session, args):
-    cutoff = _options_degree(session, args) or 8
+    cutoff = _option(session, args.degree, "D", 8)
     value = ord_of(session.element(args.x), session.ring, cutoff)
     if isinstance(value, AtLeast):
         return 0, {"at_least": value.bound}
@@ -233,12 +234,12 @@ def _cmd_ord(session, args):
 
 
 def _cmd_initial(session, args):
-    cutoff = _options_degree(session, args) or 8
+    cutoff = _option(session, args.degree, "D", 8)
     return 0, {"initial_form": str(initial_form(session.element(args.x), session.ring, cutoff))}
 
 
 def _cmd_gr(session, args):
-    pres = gr_presentation(session.ring, _options_degree(session, args))
+    pres = gr_presentation(session.ring, _option(session, args.degree, "D"))
     return 0, {
         "method": pres.method,
         "exact": pres.exact,
@@ -248,7 +249,7 @@ def _cmd_gr(session, args):
 
 
 def _cmd_gr_ideal(session, args):
-    pres = gr_presentation(session.ring, _options_degree(session, args))
+    pres = gr_presentation(session.ring, _option(session, args.degree, "D"))
     result = gr_of_ideal(session.ideal(args.a), pres)
     return 0, {
         "exact": result.exact,
@@ -258,12 +259,12 @@ def _cmd_gr_ideal(session, args):
 
 
 def _cmd_hilbert(session, args):
-    D = _options_degree(session, args) or 6
+    D = _option(session, args.degree, "D", 6)
     return 0, {"values": hilbert_data(session.ring, D).values}
 
 
 def _cmd_verify_gr(session, args):
-    D = _options_degree(session, args)
+    D = _option(session, args.degree, "D")
     claimed = session.ideal(args.a)
     report = verify_gr_claim(list(claimed.generators), session.ring, D)
     code = 0 if report.passed else 1
@@ -277,9 +278,7 @@ def _cmd_verify_gr(session, args):
 
 
 def _e_max(session, args, default=3):
-    if getattr(args, "e_max", None) is not None:
-        return args.e_max
-    return session.options.get("e_max", default)
+    return _option(session, getattr(args, "e_max", None), "e_max", default)
 
 
 def _cmd_nu(session, args):
@@ -293,7 +292,7 @@ def _cmd_threshold(session, args):
         session.ideal(args.a),
         session.ideal(args.J),
         _e_max(session, args),
-        args.max_denominator or session.options.get("max_denominator", 10**6),
+        _option(session, args.max_denominator, "max_denominator", 10**6),
     )
     if args.out and args.out.endswith(".csv"):
         emit_nu_table(est, args.out)
@@ -303,7 +302,7 @@ def _cmd_threshold(session, args):
 def _cmd_verify_thmA(session, args):
     report = verify_theorem_A(
         session.ring, session.ideal(args.b or "m"), _e_max(session, args, 2),
-        _options_degree(session, args),
+        _option(session, args.degree, "D"),
     )
     code = {"pass": 0, "fail": 1, "inconclusive": 3}[report.verdict]
     payload = {
@@ -328,7 +327,7 @@ def _cmd_fpt(session, args):
     est = fpt_estimate(
         session.ideal(args.a),
         _e_max(session, args),
-        args.max_denominator or session.options.get("max_denominator", 10**6),
+        _option(session, args.max_denominator, "max_denominator", 10**6),
     )
     return 0, _ser_bracket(est, [{"e": e, "q": q, "b": b} for e, q, b in est.records])
 
@@ -378,10 +377,10 @@ def _cmd_frational(session, args):
 
 def _cmd_check(session, args):
     name = args.name
-    seed = args.seed if args.seed is not None else session.options.get("seed", 0)
-    trials = args.trials or 10
+    seed = _option(session, args.seed, "seed", 0)
+    trials = 10 if args.trials is None else args.trials
     e_max = _e_max(session, args, 2)
-    bound = _options_degree(session, args) or 3
+    bound = _option(session, args.degree, "D", 3)
 
     def need(flag):
         value = getattr(args, flag)

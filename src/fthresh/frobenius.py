@@ -2,8 +2,11 @@
 
 nu(a, J, e) is the largest t with a^t not contained in the bracket power
 J^[p^e] (computed through lifted ideals, so quotient presentations just
-work). Scans ascend t and reuse p * nu(p^(e-1)) as a verified warm start;
-each record carries a dual certificate that is re-checked on construction.
+work). Monomial data take an ascending sweep that reuses p * nu(p^(e-1)) as
+a verified warm start. Other data take the level chain: level t is a
+row-reduced basis, modulo J^[q], of the products of t generators of a, and
+the chain stops at the first empty level. Each record carries a dual
+certificate that is re-checked on construction.
 """
 
 from __future__ import annotations
@@ -12,9 +15,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graded import GradedPresentation, gr_of_ideal, gr_presentation, hilbert_data
+from . import linalg
+from .graded import _MAX_MATRIX_CELLS, GradedPresentation, gr_of_ideal, gr_presentation, hilbert_data
 from .ideals import Ideal
-from .ring import Polynomial, QuotientRing, RingError, monomials_of_degree
+from .ring import Polynomial, QuotientRing, RingError, grevlex_key, monomials_of_degree
 
 
 @dataclass
@@ -39,7 +43,7 @@ class NuRecord:
             return False
         if _all_monomial(a.generators):
             return _first_escaping(a, self.nu + 1, target) is None
-        return _scan_frontier(a, target)[0] == self.nu
+        return len(_levels(a, target, [a.ring.one()])) - 1 == self.nu
 
 
 @dataclass
@@ -127,51 +131,47 @@ def _scan_monomial(a: Ideal, target: Ideal, warm_start: int, seeds=None):
         t, witness = t + 1, nxt
 
 
-def _scan_frontier(a: Ideal, target: Ideal, seeds=None):
-    """Ascending scan tracking normal forms of products modulo the target.
+def _levels(a: Ideal, target: Ideal, seeds):
+    """Reduced bases modulo the target of the span of a^t * (seeds), for t = 0, 1, ... while nonzero.
 
-    Levels are deduplicated after reduction, so their size is bounded by the
-    target's staircase no matter how many raw generator products exist.
-    Returns (t_max, witness) where witness is an actual product escaping at
-    t_max (reconstructed from its factor chain).
+    Level t + 1 row-reduces the normal forms of level t times each generator
+    of a, so a level never holds more elements than dim_k S/target, however
+    many products of generators it stands for. Each level also generates
+    a^t * (seeds) + target modulo the target. A level whose matrix would pass
+    the Macaulay cell bound is refused with a RingError.
     """
-    ring = a.ring
-    if seeds is None:
-        seeds = [ring.one()]
-    frontier = []
-    seen = set()
-    for i, s in enumerate(seeds):
-        nf = target.normal_form(s)
-        key = frozenset(nf.terms.items())
-        if nf.is_zero() or key in seen:
-            continue
-        seen.add(key)
-        frontier.append((nf, (("seed", i),)))
-    if not frontier:
-        return -1, None
-    t = 0
-    best = frontier[0]
+    levels = []
+    level = list(seeds)
     while True:
-        nxt = []
-        seen = set()
-        for nf, chain in frontier:
-            for gi, g in enumerate(a.generators):
-                red = target.normal_form(nf * g)
-                if red.is_zero():
-                    continue
-                key = frozenset(red.terms.items())
-                if key in seen:
-                    continue
-                seen.add(key)
-                nxt.append((red, chain + ((("gen", gi)),)))
-        if not nxt:
-            product = seeds[best[1][0][1]]
-            for kind, gi in best[1][1:]:
-                product = product * a.generators[gi]
-            return t, product
-        frontier = nxt
-        best = frontier[0]
-        t += 1
+        rows = [f.terms for f in map(target.normal_form, level) if not f.is_zero()]
+        columns = sorted({m for row in rows for m in row}, key=grevlex_key, reverse=True)
+        if len(rows) * len(columns) > _MAX_MATRIX_CELLS:
+            raise RingError(f"a nu level of {len(rows)} x {len(columns)} cells exceeds {_MAX_MATRIX_CELLS}")
+        level = [Polynomial(a.ring, row) for _, row in linalg.echelon(rows, columns, a.ring.p)]
+        if not level:
+            return levels
+        levels.append(level)
+        level = [f * g for f in level for g in a.generators]
+
+
+def _chain_witness(a: Ideal, target: Ideal, levels):
+    """Product of the lexicographically first chain of len(levels) - 1 generators escaping the target.
+
+    Built top-down: each factor is the first generator g such that the product
+    so far times g times some element of the level below still escapes. The
+    generators commute, so that chain never decreases in index, and each
+    search starts at the previous factor. Rows of the level below are tried
+    from the lowest pivot up, against the product reduced modulo the target.
+    """
+    witness, first = a.ring.one(), 0
+    for below in reversed(levels[:-1]):
+        for i in range(first, len(a.generators)):
+            h = witness * a.generators[i]
+            rest = target.normal_form(h)
+            if any(not target.contains_poly(rest * f) for f in reversed(below)):
+                witness, first = h, i
+                break
+    return witness
 
 
 def _check_generators_in_m(a: Ideal):
@@ -194,11 +194,16 @@ def _scan(a: Ideal, target: Ideal, warm_start: int | None = None, seeds=None):
 
     All-monomial generators and seeds take the monomial sweep, which first
     tries the warm start and falls back to t = 0 (caveat "warm-start-fallback")
-    when a^warm_start * (seeds) is already contained; any other input takes
-    the frontier scan, which ignores the warm start.
+    when a^warm_start * (seeds) is already contained. Any other input takes
+    the level chain (`_levels`), which ignores the warm start: t is its number
+    of levels minus one, and only an unseeded scan builds a witness, the
+    product of the lexicographically first index chain of length t that
+    escapes (the seeded witness is None).
     """
     if not (_all_monomial(a.generators) and (seeds is None or _all_monomial(seeds))):
-        return _scan_frontier(a, target, seeds) + ((),)
+        levels = _levels(a, target, [a.ring.one()] if seeds is None else seeds)
+        witness = _chain_witness(a, target, levels) if seeds is None and levels else None
+        return len(levels) - 1, witness, ()
     caveats = ()
     result = None
     if warm_start:

@@ -81,18 +81,21 @@ def check_colon_lemma(ring: QuotientRing, x: Polynomial, n_max: int) -> CheckRep
             inputs,
             details={"reason": f"in(x) = {form} is a zerodivisor on the graded presentation"},
         )
-    for n in range(n_max + 1):
-        colon = ring.power_of_maximal_ideal(n + 1).colon_poly(x)
-        expected = ring.power_of_maximal_ideal(n)
-        if not colon.equals(expected):
-            separating = _separating_generator(colon, expected)
-            return CheckReport(
-                "colon-lemma",
-                "fail",
-                inputs,
-                witnesses={"n": n, "element": str(separating)},
-            )
+    mismatch = _colon_mismatch(ring, x, 0, n_max)
+    if mismatch is not None:
+        return CheckReport("colon-lemma", "fail", inputs, witnesses=mismatch)
     return CheckReport("colon-lemma", "pass", inputs, details={"initial_form": str(form)})
+
+
+def _colon_mismatch(ring: QuotientRing, x: Polynomial, c: int, n_max: int):
+    """First n in c..n_max with (m^{n+1} : x) ∩ m^c != m^n, as {"n", "element"}; None if none."""
+    for n in range(c, n_max + 1):
+        colon = ring.power_of_maximal_ideal(n + 1).colon_poly(x)
+        lhs = colon if c == 0 else colon.intersect(ring.power_of_maximal_ideal(c))
+        rhs = ring.power_of_maximal_ideal(n)
+        if not lhs.equals(rhs):
+            return {"n": n, "element": str(_separating_generator(lhs, rhs))}
+    return None
 
 
 def _separating_generator(a: Ideal, b: Ideal):
@@ -148,16 +151,8 @@ def check_superficial(x: Polynomial, c_max: int, n_max: int) -> CheckReport:
         raise RingError("x must lie in m but not in m^2")
     failures = {}
     for c in range(c_max + 1):
-        ok = True
-        for n in range(c, n_max + 1):
-            colon = ring.power_of_maximal_ideal(n + 1).colon_poly(x)
-            lhs = colon if c == 0 else colon.intersect(ring.power_of_maximal_ideal(c))
-            rhs = ring.power_of_maximal_ideal(n)
-            if not lhs.equals(rhs):
-                failures[c] = {"n": n, "element": str(_separating_generator(lhs, rhs))}
-                ok = False
-                break
-        if ok:
+        failures[c] = _colon_mismatch(ring, x, c, n_max)
+        if failures[c] is None:
             return CheckReport("superficial", "pass", inputs, details={"c": c})
     return CheckReport("superficial", "fail", inputs, witnesses=failures)
 

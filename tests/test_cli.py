@@ -4,6 +4,7 @@ import os
 import pytest
 
 from conftest import session_path
+from fthresh import RingError
 from fthresh.cli import Session, UsageError, emit_nu_table, main, read_nu_table, run
 from fthresh.frobenius import threshold_estimate
 
@@ -253,3 +254,31 @@ def test_colon_lemma_past_the_matrix_bound_is_inconclusive():
     assert code == 3
     assert report["results"]["verdict"] == "inconclusive"
     assert "141234 x 74613" in report["results"]["details"]["reason"]
+
+
+@pytest.mark.parametrize(
+    "argv,path,value",
+    [
+        (["hilbert", "--degree", "0"], ("values",), [1]),
+        (["check", "--name", "colon-lemma", "--x", "x", "--degree", "0"], ("inputs", "n_max"), "0"),
+        (["check", "--name", "monotonicity", "--trials", "0"], ("details", "checked"), 0),
+        (["threshold", "--a", "m", "--J", "m", "--max-denominator", "0"], ("guess",), None),
+        (["fpt", "--a", "m", "--max-denominator", "0"], ("guess",), None),
+        (["ord", "--x", "x", "--degree", "0"], None, RingError),
+        (["initial", "--x", "x", "--degree", "0"], None, RingError),
+    ],
+    ids=["hilbert", "colon-lemma", "monotonicity", "threshold", "fpt", "ord", "initial"],
+)
+def test_zero_option_is_a_value(argv, path, value):
+    # a numeric option given as 0 reaches the library; it is not replaced by
+    # the session option or the command default
+    argv = argv[:1] + ["--session", session_path("ex-regular.json")] + argv[1:]
+    if value is RingError:
+        with pytest.raises(RingError):
+            run(argv)
+        return
+    code, report = run_report(argv)
+    node = report["results"]
+    for key in path:
+        node = node[key]
+    assert node == value

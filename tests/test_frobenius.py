@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -11,6 +13,7 @@ from fthresh import (
     threshold_estimate,
     verify_theorem_A,
 )
+from fthresh import frobenius
 from oracles import nu_monomial_oracle, simplest_rational_oracle
 
 
@@ -151,3 +154,71 @@ def test_nu_records_reverify(blowup):
     est = threshold_estimate(m, m, 2)
     for record in est.records:
         assert record.verify(m, m.bracket(record.q))
+
+
+def _first_escaping_chain(a, target, length):
+    """Product of the first index chain of the given length (itertools.product order) outside target."""
+    for chain in itertools.product(a.generators, repeat=length):
+        product = a.ring.one()
+        for g in chain:
+            product = product * g
+        if not target.contains_poly(product):
+            return product
+    return None
+
+
+@pytest.mark.parametrize(
+    "p,relations,a_gens,J_gens,e",
+    [
+        (2, [], ["x + y^2", "y"], ["x", "y"], 1),
+        (2, [], ["x + y", "x*y"], ["x^2", "y"], 1),
+        (2, [], ["x + y", "x*y"], ["x", "y"], 2),
+        (2, ["x*y"], ["x + y^2", "y^2"], ["x", "y"], 2),
+        (3, [], ["x + y", "x*y"], ["x", "y"], 1),
+        (3, [], ["x^2 + y", "x*y", "y^2"], ["x", "y"], 1),
+        (3, ["x*y"], ["x + y", "y^2"], ["x", "y"], 1),
+        (3, [], ["x + 2*y^2", "x*y + y^2"], ["x", "y^2"], 1),
+    ],
+)
+def test_nu_witness_is_first_escaping_chain(p, relations, a_gens, J_gens, e):
+    # brute force over index chains in lex order, each product tested against
+    # a fresh handle on the bracket power: nu is the longest escaping length
+    # and the witness the product of the first escaping chain of that length
+    ring = QuotientRing(p, ["x", "y"], relations)
+    a, J = Ideal(ring, a_gens), Ideal(ring, J_gens)
+    target = Ideal(ring, list(J.bracket(p**e).generators))
+    length, first = -1, None
+    while (found := _first_escaping_chain(a, target, length + 1)) is not None:
+        length, first = length + 1, found
+    record = nu(a, J, e)
+    assert record.nu == length <= 6
+    assert str(record.witness) == str(first)
+
+
+def test_gf3_seed7_scan_value_and_witness():
+    # check_monotonicity's trial 7 on GF(3)[x,y] at seed 0, the slowest
+    # criterion-5 scan; values and witness digests recorded from the scan
+    # that enumerated products level by level, before the level chain
+    ring = QuotientRing(3, ["x", "y"])
+    a = Ideal(ring, ["x^3", "x^2*y", "x*y^2", "y^3", "x*y + x + y", "2*x*y^2 + 2*x^2", "y^3 + x"])
+    J = Ideal(ring, ["x^2", "x*y", "y^2"])
+    first = nu(a, J, 1)
+    second = nu(a, J, 2, warm_start=3 * first.nu)
+    assert (first.nu, second.nu) == (7, 25)
+    digests = [hashlib.sha256(str(r.witness).encode()).hexdigest() for r in (first, second)]
+    assert digests == [
+        "333fb45015b553cc71e841aa60850dd458c4728bd9db209de67f2e19d3845fc3",
+        "66e91fd0b0684ddc6e70a8da2f307a91abbceab8574920356b8f3b4429ceb3dd",
+    ]
+    assert second.caveats == ()
+
+
+def test_nu_level_past_the_cell_bound_is_refused(regular2, monkeypatch):
+    # the widest level matrix of (x + y, y) modulo (x^4, y^4) reduces the 6
+    # products that make level 3, over the 4 monomials of degree 3
+    monkeypatch.setattr(frobenius, "_MAX_MATRIX_CELLS", 23)
+    a = Ideal(regular2, ["x + y", "y"])
+    with pytest.raises(RingError, match="6 x 4 cells exceeds 23"):
+        nu(a, regular2.maximal_ideal(), 2)
+    monkeypatch.setattr(frobenius, "_MAX_MATRIX_CELLS", 24)
+    assert nu(a, regular2.maximal_ideal(), 2).nu == 6

@@ -122,8 +122,8 @@ GOLDEN = [
      (0, "bc03b398376a84ecb5e318208f82c444fa060d7f569974f17e278376be745a8a")),
     ("ex-blowup", "fpt --a x+z,y,w",
      (0, "d6a9078e3b6b2998a5767c3e07a9fb5016bd641886b78427351d715aeeff8d09")),
-    # frontier scans whose last level has several classes, so the witness
-    # depends on which one the scan reconstructs
+    # non-monomial scans whose last level has several rows, so the witness
+    # depends on which escaping chain the scan picks
     ("ex-regular", "threshold --a x+y^2,x*y --J J",
      (0, "3b75afb0959b7d6e7046d6a8276771dfd7e872229afe7a69aab0b8dc40c3f4c6")),
     ("ex-node4", "threshold --a x+z,y+w,z*w --J n",

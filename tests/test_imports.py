@@ -4,7 +4,9 @@ Each `src/fthresh/*.py` except `__init__.py` (whose imports are the package's
 exports) is parsed with `ast`; an imported name counts as used when it appears
 as a name anywhere in the module, annotations included. `from __future__`
 imports are directives, not names. Only `linalg.py` may import numpy: every
-other module hands it term-dict rows.
+other module hands it term-dict rows. Every top-level private function or
+class is referenced by name somewhere in the package outside its own
+definition, so a replaced helper cannot stay behind.
 """
 
 import ast
@@ -41,6 +43,34 @@ def unused_imports(source: str):
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
+def referenced_names(tree, skip):
+    """Names and attribute names the tree mentions, ignoring everything inside `skip`."""
+    inside = {id(node) for node in ast.walk(skip)}
+    names = set()
+    for node in ast.walk(tree):
+        if id(node) in inside:
+            continue
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def unreferenced_private(sources):
+    """Top-level private functions and classes that no source mentions outside their definition."""
+    trees = [ast.parse(source) for source in sources]
+    missing = []
+    for tree in trees:
+        for node in tree.body:
+            defines = isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            if not (defines and node.name.startswith("_") and not node.name.startswith("__")):
+                continue
+            if not any(node.name in referenced_names(other, node) for other in trees):
+                missing.append(node.name)
+    return missing
+
+
 def test_modules_are_found():
     assert len(MODULES) == 8
 
@@ -53,6 +83,16 @@ def test_no_unused_imports(path):
 @pytest.mark.parametrize("path", MODULES, ids=[path.stem for path in MODULES])
 def test_only_linalg_imports_numpy(path):
     assert ("numpy" in imported_modules(path.read_text())) == (path.name == "linalg.py")
+
+
+def test_every_private_definition_is_referenced():
+    assert unreferenced_private(path.read_text() for path in sorted(SRC.glob("*.py"))) == []
+
+
+def test_unreferenced_private_definition_is_reported():
+    first = "def _used():\n    pass\n\ndef _recursive(n):\n    return _recursive(n - 1)\n"
+    second = "class _Unused:\n    pass\n\ndef public():\n    return mod._used()\n"
+    assert unreferenced_private([first, second]) == ["_recursive", "_Unused"]
 
 
 def test_numpy_import_is_found():
