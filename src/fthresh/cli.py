@@ -1,4 +1,4 @@
-"""Batch front end: session files, one subcommand per operation, deterministic reports.
+"""Batch front end: session files, one command per operation, deterministic reports.
 
 A session file is a single JSON document describing the ring, named ideals,
 named elements, and options. Reports are JSON with every numeric an exact
@@ -278,7 +278,7 @@ def _cmd_verify_gr(session, args):
 
 
 def _e_max(session, args, default=3):
-    return _option(session, getattr(args, "e_max", None), "e_max", default)
+    return _option(session, args.e_max, "e_max", default)
 
 
 def _cmd_nu(session, args):
@@ -451,31 +451,26 @@ _COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One flat parser: every command shares one flag set; `_argv_rules_hold` does the rest."""
     parser = argparse.ArgumentParser(
         prog="fthresh",
         description="Frobenius invariants of local rings over prime fields",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--session", required=True)
-        p.add_argument("--a")
-        p.add_argument("--J")
-        p.add_argument("--b")
-        p.add_argument("--x")
-        p.add_argument("--c")
-        p.add_argument("--e", type=int)
-        p.add_argument("--e-max", dest="e_max", type=int)
-        p.add_argument("--degree", type=int)
-        p.add_argument("--trials", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--max-denominator", dest="max_denominator", type=int)
-        p.add_argument("--name")
-        p.add_argument("--out")
-    rp = sub.add_parser("report")
-    rp.add_argument("path")
-    rp.add_argument("--out")
+    parser.add_argument("command", choices=[*_COMMANDS, "report"])
+    parser.add_argument("path", nargs="?", help="the stored report (report only)")
+    for flag in ("session", "a", "J", "b", "x", "c", "name", "out"):
+        parser.add_argument(f"--{flag}")
+    for flag in ("e", "e-max", "degree", "trials", "seed", "max-denominator"):
+        parser.add_argument(f"--{flag}", type=int)
     return parser
+
+
+def _argv_rules_hold(args) -> bool:
+    """report takes its path and --out only; every other command needs --session and no path."""
+    given = {key for key, value in vars(args).items() if value is not None} - {"command"}
+    if args.command == "report":
+        return "path" in given and given <= {"path", "out"}
+    return "session" in given and "path" not in given
 
 
 def _digest_report(body: dict) -> str:
@@ -484,10 +479,11 @@ def _digest_report(body: dict) -> str:
 
 def run(argv) -> tuple[int, dict]:
     """Execute one command; returns (exit code, full report document)."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_intermixed_args(argv)
     except SystemExit:
+        args = None
+    if args is None or not _argv_rules_hold(args):
         raise UsageError(f"invalid arguments: {argv!r}")
     started = time.monotonic()
     if args.command == "report":
@@ -496,7 +492,7 @@ def run(argv) -> tuple[int, dict]:
     else:
         handler, required = _COMMANDS[args.command]
         for field_name in required:
-            if getattr(args, field_name.replace("-", "_"), None) is None:
+            if getattr(args, field_name) is None:
                 raise UsageError(f"{args.command} requires --{field_name}")
         session = Session.load(args.session)
         code, results = handler(session, args)
@@ -512,7 +508,7 @@ def run(argv) -> tuple[int, dict]:
         "digest": _digest_report(body),
         "timings": {"seconds": round(time.monotonic() - started, 6)},
     }
-    if getattr(args, "out", None) and not (args.command == "threshold" and args.out.endswith(".csv")):
+    if args.out and not (args.command == "threshold" and args.out.endswith(".csv")):
         try:
             with open(args.out, "w") as fh:
                 json.dump(document, fh, indent=2, sort_keys=True)
@@ -526,10 +522,7 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         code, document = run(argv)
-    except UsageError as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return 2
-    except (ParseError, RingError) as exc:
+    except (UsageError, ParseError, RingError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
     print(json.dumps(document, indent=2, sort_keys=True))

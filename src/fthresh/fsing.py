@@ -22,26 +22,20 @@ class FPurityError(RingError):
 
 
 def _ambient(ring: QuotientRing) -> QuotientRing:
-    cached = getattr(ring, "_ambient_ring", None)
-    if cached is None:
-        cached = QuotientRing(ring.p, ring.variables) if ring.relations else ring
-        ring._ambient_ring = cached
-    return cached
+    return ring.cached("ambient", lambda: QuotientRing(ring.p, ring.variables) if ring.relations else ring)
 
 
 def _splitting_colon(ring: QuotientRing, q: int) -> Ideal:
     """(L^[q] :_S L) in the ambient polynomial ring; the unit ideal for L = 0."""
     S = _ambient(ring)
-    cache = getattr(ring, "_splitting_cache", None)
-    if cache is None:
-        cache = ring._splitting_cache = {}
-    if q not in cache:
+
+    def build():
         if not ring.relations:
-            cache[q] = Ideal(S, [S.one()])
-        else:
-            L = Ideal(S, [transfer(g, S) for g in ring.relations])
-            cache[q] = L.bracket(q).colon(L)
-    return cache[q]
+            return Ideal(S, [S.one()])
+        L = Ideal(S, [transfer(g, S) for g in ring.relations])
+        return L.bracket(q).colon(L)
+
+    return ring.cached(("splitting", q), build)
 
 
 def fedder_f_pure(ring: QuotientRing) -> bool:
@@ -76,6 +70,8 @@ def fpt_estimate(
     Requires an F-pure presentation; for L = 0 the colon is the unit ideal and
     b coincides with nu^m_a.
     """
+    if e_max < 1:
+        raise RingError("e_max must be at least 1")
     ring = a.ring
     if not fedder_f_pure(ring):
         raise FPurityError("the presentation is not F-pure; b_a(q) is undefined")

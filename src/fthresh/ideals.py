@@ -495,11 +495,7 @@ def _eliminate_intersection(terms_a, terms_b, p):
 
 
 def zero_ideal(ring: QuotientRing) -> Ideal:
-    handle = getattr(ring, "_zero_ideal_handle", None)
-    if handle is None:
-        handle = Ideal(ring, [])
-        ring._zero_ideal_handle = handle
-    return handle
+    return ring.cached("zero ideal", lambda: Ideal(ring, []))
 
 
 def ring_dimension(ring: QuotientRing) -> int:

@@ -291,8 +291,8 @@ class QuotientRing:
             if f not in rels:
                 rels.append(f)
         self.relations = tuple(rels)
-        self._power_ideal_cache: dict = {}
-        self._dimension = None
+        # everything computed once per ring (powers of m, the dimension, ...), read through `cached`
+        self._cache: dict = {}
 
     # -- element constructors -------------------------------------------
 
@@ -355,25 +355,28 @@ class QuotientRing:
 
         return Ideal(self, self.gens())
 
+    def cached(self, key, build):
+        """The value this ring stores under `key`, made by `build()` on first use."""
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
+
     def power_of_maximal_ideal(self, k: int):
         """m^k with its Groebner cache shared across calls."""
         from .ideals import Ideal
 
-        if k not in self._power_ideal_cache:
+        def build():
             if k == 0:
-                gens = [self.one()]
-            else:
-                gens = [self.monomial(m) for m in monomials_of_degree(self.nvars, k)]
-            self._power_ideal_cache[k] = Ideal(self, gens)
-        return self._power_ideal_cache[k]
+                return Ideal(self, [self.one()])
+            return Ideal(self, [self.monomial(m) for m in monomials_of_degree(self.nvars, k)])
+
+        return self.cached(("power", k), build)
 
     @property
     def dimension(self) -> int:
         from .ideals import ring_dimension
 
-        if self._dimension is None:
-            self._dimension = ring_dimension(self)
-        return self._dimension
+        return self.cached("dimension", lambda: ring_dimension(self))
 
     def __repr__(self):
         if self.relations:

@@ -144,6 +144,8 @@ def check_reduction(a: Ideal, n_max: int) -> CheckReport:
 
 def check_superficial(x: Polynomial, c_max: int, n_max: int) -> CheckReport:
     """Search c <= c_max with (m^{n+1} : x) ∩ m^c = m^n for all c <= n <= n_max."""
+    if c_max < 0:
+        raise RingError("c_max must be at least 0")
     ring = x.ring
     inputs = {"ring": repr(ring), "x": str(x), "c_max": c_max, "n_max": n_max}
     r = ord_of(x, ring, max(3, n_max))

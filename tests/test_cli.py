@@ -282,3 +282,57 @@ def test_zero_option_is_a_value(argv, path, value):
     for key in path:
         node = node[key]
     assert node == value
+
+
+def test_fpt_e_max_below_one_is_a_usage_error(capsys):
+    argv = ["fpt", "--session", session_path("ex-regular.json"), "--a", "m", "--e-max", "0"]
+    assert main(argv) == 2
+    assert "e_max must be at least 1" in capsys.readouterr().err
+
+
+def test_superficial_negative_degree_is_a_usage_error(capsys):
+    # c_max = -1 tries no c, so a fail verdict would carry no witness
+    argv = ["check", "--session", session_path("ex-regular.json"), "--name", "superficial",
+            "--x", "x", "--degree", "-1"]
+    assert main(argv) == 2
+    assert "c_max must be at least 0" in capsys.readouterr().err
+
+
+# A flag placed before the command (`--session s dim`) is accepted, and so is a
+# `--` separator in a session command's argv; every argv below is refused.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["frobnicate", "--session", "SESSION"],
+        ["dim"],
+        ["report"],
+        ["report", "REPORT", "--session", "SESSION"],
+        ["report", "REPORT", "--a", "m"],
+        ["nu", "REPORT", "--session", "SESSION", "--a", "m", "--J", "m", "--e", "1"],
+        ["nu", "--session", "SESSION", "--a", "m", "--J", "m", "--e", "x"],
+    ],
+    ids=["unknown-command", "no-session", "report-no-path", "report-session", "report-flag",
+         "path-after-command", "non-integer"],
+)
+def test_argv_contract(argv, tmp_path):
+    stored = tmp_path / "report.json"
+    run(["dim", "--session", session_path("ex-regular.json"), "--out", str(stored)])
+    names = {"SESSION": session_path("ex-regular.json"), "REPORT": str(stored)}
+    with pytest.raises(UsageError) as err:
+        run([names.get(token, token) for token in argv])
+    assert str(err.value).startswith("invalid arguments")
+
+
+def test_report_out_writes_the_document(tmp_path):
+    stored, checked = tmp_path / "report.json", tmp_path / "checked.json"
+    run(["dim", "--session", session_path("ex-regular.json"), "--out", str(stored)])
+    code, document = run(["report", str(stored), "--out", str(checked)])
+    assert code == 0 and document["report"]["results"]["digest_ok"]
+    assert json.loads(checked.read_text()) == document
+
+
+def test_flags_before_the_command():
+    first = ["dim", "--session", session_path("ex-regular.json")]
+    _, canonical = run_report(first)
+    code, moved = run_report(first[1:] + first[:1])
+    assert code == 0 and moved["results"] == canonical["results"]

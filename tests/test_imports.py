@@ -103,3 +103,47 @@ def test_numpy_import_is_found():
 def test_unused_import_is_reported():
     source = "import numpy as np\nfrom .ring import grevlex_key, transfer\n\ntransfer(1)\n"
     assert unused_imports(source) == [(1, "np"), (2, "grevlex_key")]
+
+
+def foreign_attribute_assignments(source: str):
+    """(line, target) of every assignment to an attribute of an object other than `self`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Assign):
+            targets = list(node.targets)
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            continue
+        while targets:
+            target = targets.pop()
+            if isinstance(target, (ast.Tuple, ast.List)):
+                targets.extend(target.elts)
+            elif isinstance(target, ast.Starred):
+                targets.append(target.value)
+            elif isinstance(target, ast.Attribute) and not (
+                isinstance(target.value, ast.Name) and target.value.id == "self"
+            ):
+                found.append((node.lineno, ast.unparse(target)))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[path.stem for path in MODULES])
+def test_attributes_are_assigned_only_on_self(path):
+    # an object's state is set by its own methods: a ring's cache is `ring.cached`
+    assert foreign_attribute_assignments(path.read_text()) == []
+
+
+def test_foreign_attribute_assignment_is_reported():
+    source = (
+        "self.cache = {}\n"
+        "ring._handle = handle\n"
+        "cache = ring._cache = {}\n"
+        "stats.calls += 1\n"
+        "first, *obj.rest = values\n"
+        "self.ring.name: str = 'R'\n"
+        "table[ring.p] = 1\n"
+    )
+    assert foreign_attribute_assignments(source) == [
+        (2, "ring._handle"), (3, "ring._cache"), (4, "stats.calls"), (5, "obj.rest"), (6, "self.ring.name"),
+    ]
