@@ -414,8 +414,13 @@ def _cmd_check(session, args):
 
 
 def _cmd_report(args):
-    with open(args.path) as fh:
-        stored = json.load(fh)
+    try:
+        with open(args.path, "rb") as fh:
+            stored = json.load(fh)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise UsageError(f"cannot read report file {args.path}: {exc}") from exc
+    if not isinstance(stored, dict):
+        raise UsageError(f"report file {args.path} does not hold a JSON object")
     body = stored.get("report", {})
     claimed = stored.get("digest")
     actual = _digest_report(body)

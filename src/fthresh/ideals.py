@@ -7,9 +7,9 @@ for the fixed grevlex order, so handles compare ideals by comparing bases.
 
 Basis elements are monic (lead, terms) pairs: the leading monomial is found
 once, when an element enters the basis, and travels with it from `buchberger`
-to the `Ideal` handle (`_gb_leads`), which reduces, tests staircases and
-counts dimension from the stored leads. Each S-pair is ranked once, when it
-is created, and waits on a heap until it is the smallest pending pair.
+to the `Ideal` handle (`_gb_leads`), which reduces and tests staircases from
+the stored leads. Each S-pair is ranked once, when it is created, and waits
+on a heap until it is the smallest pending pair.
 """
 
 from __future__ import annotations
@@ -500,9 +500,8 @@ def zero_ideal(ring: QuotientRing) -> Ideal:
 
 def ring_dimension(ring: QuotientRing) -> int:
     """Krull dimension of S/L via independent variable sets modulo lead terms."""
-    handle = zero_ideal(ring)
-    handle.groebner_basis()
-    lead_supports = [frozenset(i for i, e in enumerate(lead) if e > 0) for lead, _ in handle._gb_leads]
+    leads = [_leading(g.terms, grevlex_key) for g in zero_ideal(ring).groebner_basis()]
+    lead_supports = [frozenset(i for i, e in enumerate(lead) if e > 0) for lead in leads]
     if frozenset() in lead_supports:
         raise RingError("relations generate the unit ideal")
     n = ring.nvars

@@ -465,7 +465,7 @@ class _Parser:
         if kind == "int":
             value = self.ring.constant(val)
         elif kind == "var":
-            if val not in self.ring._var_index:
+            if val not in self.ring.variables:
                 raise ParseError(f"unknown variable {val!r}", pos)
             value = self.ring.variable(val)
         elif kind == "op" and val == "(":

@@ -323,6 +323,21 @@ def test_argv_contract(argv, tmp_path):
     assert str(err.value).startswith("invalid arguments")
 
 
+# `report` on a file it cannot read or parse is a usage error (exit 2), not a
+# traceback with exit 1, which would read as "digest check failed"
+@pytest.mark.parametrize(
+    "content",
+    [None, b"", b'{"report": {', b"\x80{}", b"[1, 2]", b'"report"'],
+    ids=["missing", "empty", "truncated", "not-utf8", "list", "string"],
+)
+def test_unreadable_report_is_a_usage_error(content, tmp_path, capsys):
+    stored = tmp_path / "report.json"
+    if content is not None:
+        stored.write_bytes(content)
+    assert main(["report", str(stored)]) == 2
+    assert "report file" in json.loads(capsys.readouterr().err)["error"]
+
+
 def test_report_out_writes_the_document(tmp_path):
     stored, checked = tmp_path / "report.json", tmp_path / "checked.json"
     run(["dim", "--session", session_path("ex-regular.json"), "--out", str(stored)])

@@ -7,7 +7,9 @@ was consolidated, the ex-determinantal ones before Groebner basis elements
 carried their leading terms, and the Macaulay-piece ones (truncated cones,
 initial ideals, lemma22 separating classes) before `linalg.rref` returned only
 its pivot rows, and the initial-form, F-rationality, socle and colon-lemma
-ones before the callers of `linalg` handed it term-dict rows; a change that
+ones before the callers of `linalg` handed it term-dict rows, and the
+reduction, superficial and final-lemma22 ones before the lemma checks tested
+one containment instead of comparing two Groebner bases; a change that
 alters one of them changes a reported answer.
 Arguments are split on spaces, so generator lists are written without them.
 """
@@ -192,6 +194,26 @@ GOLDEN = [
      (0, "3e746c9396c83275d974a7761578d63fcd145f3bb71a72e4992559e12277aa7b")),
     ("ex-fermat-cubic", "check --name colon-lemma --x x",
      (0, "7b79d020e10932588fead4c82353ddf59efe3dc926b10e8d7500c34602c22d04")),
+    # the lemma checks' containment tests: reduction flags, superficial
+    # elements, and a lemma22 pair whose graded pieces all agree
+    ("ex-blowup", "check --name reduction --a m",
+     (0, "09a9e8cab33b9776c2dd86732cdb092e8a9210b7b682e777e9bd152761ffdca5")),
+    ("ex-cusp", "check --name reduction --a J",
+     (0, "de828c7e09ae3790266c873d52016f02c0129290987cd5c92e1cf6e134e9dcd2")),
+    ("ex-fermat-cubic", "check --name reduction --a J",
+     (0, "e969c63c9b5a1c9cf972351fa9d2fd2c61e769c76a97b7f8c996951217095556")),
+    ("ex-node4", "check --name reduction --a m",
+     (0, "d91bec845b56b35f153bd9895deee014de24a639ae4c4abd5b95d662fdd7825a")),
+    ("ex-regular", "check --name reduction --a J",
+     (0, "04ad601ae3d9f76e3ff354a2a80d9049e080db264f3e3c9618fbd451bf80e0da")),
+    ("ex-cusp", "check --name superficial --x y",
+     (0, "37fa74abdbc0d1ea542e87566918cbdd7b4805bbaea03bee8c24dde3e75c1d66")),
+    ("ex-regular", "check --name superficial --x y",
+     (0, "5985fe9e79d9e7a6ccc567cd8fec546c585578591af45e3054bbac0ee4c2389a")),
+    ("ex-fermat-cubic", "check --name superficial --x z",
+     (0, "444cbbe0c247d6ade87b29f7cf665985979d017fcf43ff872fe6d6d1af63f589")),
+    ("ex-regular", "check --name lemma22 --a x,y --b m",
+     (0, "97e282aaf11a5b94874212f26b70a31a0959ef449f717a46654b1015b8b881df")),
 ]
 
 

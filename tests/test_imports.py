@@ -6,7 +6,9 @@ as a name anywhere in the module, annotations included. `from __future__`
 imports are directives, not names. Only `linalg.py` may import numpy: every
 other module hands it term-dict rows. Every top-level private function or
 class is referenced by name somewhere in the package outside its own
-definition, so a replaced helper cannot stay behind.
+definition, so a replaced helper cannot stay behind. Only `self` has its
+attributes assigned or its private attributes read: another object's state is
+reached through its methods.
 """
 
 import ast
@@ -146,4 +148,38 @@ def test_foreign_attribute_assignment_is_reported():
     )
     assert foreign_attribute_assignments(source) == [
         (2, "ring._handle"), (3, "ring._cache"), (4, "stats.calls"), (5, "obj.rest"), (6, "self.ring.name"),
+    ]
+
+
+def foreign_private_reads(source: str):
+    """(line, expression) of every read of a private attribute of an object other than `self`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)):
+            continue
+        private = node.attr.startswith("_") and not node.attr.startswith("__")
+        on_self = isinstance(node.value, ast.Name) and node.value.id == "self"
+        if private and not on_self:
+            found.append((node.lineno, ast.unparse(node)))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[path.stem for path in MODULES])
+def test_private_attributes_are_read_only_on_self(path):
+    # another object's internals are reached through its public methods
+    assert foreign_private_reads(path.read_text()) == []
+
+
+def test_foreign_private_read_is_reported():
+    source = (
+        "x = self._cache\n"
+        "y = handle._gb_leads\n"
+        "if val in self.ring._var_index:\n"
+        "    pass\n"
+        "z = ring.__class__\n"
+        "w = f(obj._a)._b\n"
+        "self._cache = ring.public\n"
+    )
+    assert foreign_private_reads(source) == [
+        (2, "handle._gb_leads"), (3, "self.ring._var_index"), (6, "f(obj._a)._b"), (6, "obj._a"),
     ]
