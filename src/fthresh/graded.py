@@ -1,10 +1,13 @@
 """m-adic order, initial forms, associated graded presentations, Hilbert data.
 
 The associated graded ring of R = S/L is presented as S/in(L). For principal
-or homogeneous L the initial ideal is exact; otherwise it is computed
-degreewise through a truncation bound D by Macaulay matrices, growing the
-product degree N until two consecutive increments leave every degree piece
-unchanged. The exact flag records which of these happened.
+or homogeneous L the initial ideal is exact. Otherwise its pieces in(I)_d,
+d <= D, come from one Macaulay matrix: in(I)_d depends only on the image of I
+in S/m^(d+1), which the products x^m * g with deg x^m <= D - ord(g), cut
+above degree D, span. Every piece through D is exact; the exact flag records
+whether those pieces determine the whole ideal. They do for an m-primary
+ideal once D reaches its nilpotency degree; a cone in(L) built this way stays
+flagged truncated, since its generators above D are not computed.
 """
 
 from __future__ import annotations
@@ -137,72 +140,52 @@ def initial_form(f: Polynomial, ring: QuotientRing, cutoff: int) -> Polynomial:
     return ring.from_terms(terms)
 
 
-# -- Macaulay piece machinery --------------------------------------------------
-
-
-def _column_layout(nvars: int, N: int):
-    return sorted(monomials_up_to_degree(nvars, N), key=grevlex_key)
-
+# -- Macaulay pieces -------------------------------------------------------------
 
 # Most cells (rows x columns) of a Macaulay matrix; a larger one is refused
-# before any row is built. The largest the tests and benchmark build has 72,264,192.
+# before any row is built. The largest the tests and benchmark build has 1,597,596.
 _MAX_MATRIX_CELLS = 2**27
 
 
-def _product_rows(gen_polys, nvars: int, N: int):
-    """The products g*x^m of degree <= N as term dicts, yielded one at a time.
+def _product_rows(gen_polys, nvars: int, D: int):
+    """The products x^m * g with deg x^m <= D - ord(g), as full term dicts, one at a time.
 
-    Raises TruncationError, before building anything, when the rows over all
-    monomials of degree <= N make more than _MAX_MATRIX_CELLS cells.
+    Cut above degree D, they span the image in S/m^(D+1) of the ideal the g
+    generate. Raises TruncationError, before building anything, when they
+    make more than _MAX_MATRIX_CELLS cells over the monomials of degree <= D.
     """
-    gens = [g for g in gen_polys if g.degree() <= N]
-    nrows = sum(math.comb(N - g.degree() + nvars, nvars) for g in gens)
-    ncols = math.comb(N + nvars, nvars)
+    gens = [g for g in gen_polys if g.min_degree() <= D]
+    nrows = sum(math.comb(D - g.min_degree() + nvars, nvars) for g in gens)
+    ncols = math.comb(max(D, 0) + nvars, nvars)
     if nrows * ncols > _MAX_MATRIX_CELLS:
         raise TruncationError(
-            f"Macaulay matrix of {nrows} x {ncols} cells at product degree {N} "
+            f"Macaulay matrix of {nrows} x {ncols} cells through degree {D} "
             f"exceeds the bound of {_MAX_MATRIX_CELLS} cells"
         )
     return (
         {monomial_mul(gm, m): c for gm, c in g.terms.items()}
         for g in gens
-        for m in monomials_up_to_degree(nvars, N - g.degree())
+        for m in monomials_up_to_degree(nvars, D - g.min_degree())
     )
 
 
-def _pieces_at(ring: QuotientRing, gen_polys, D: int, N: int):
-    """Degree pieces d <= D of the span of bounded products, as canonical term dicts.
+def _pieces(ring: QuotientRing, gen_polys, D: int):
+    """Pieces in(I)_d, d <= D, of the ideal I of S the polynomials generate, as term dicts.
 
-    Columns are ordered by ascending degree, so echelon rows whose pivot sits
-    in degree d span exactly the part of the row space vanishing below
-    degree d; their degree-d components, in pivot order, are the truncated piece.
+    in(I)_d depends only on the image of I in S/m^(d+1), so one matrix of the
+    product rows cut above degree D gives every piece exactly. Columns ascend
+    in degree, so the echelon rows whose pivot has degree d span the elements
+    of that image vanishing below degree d; their degree-d parts, in pivot
+    order, are the reduced echelon basis of in(I)_d.
     """
     # rows first: their cell bound fires before the column list is built
-    echelon = linalg.echelon(
-        _product_rows(gen_polys, ring.nvars, N), _column_layout(ring.nvars, N), ring.p
-    )
+    rows = ({m: c for m, c in row.items() if sum(m) <= D} for row in _product_rows(gen_polys, ring.nvars, D))
+    columns = sorted(monomials_up_to_degree(ring.nvars, D), key=grevlex_key)
     pieces = {d: [] for d in range(D + 1)}
-    for lead, row in echelon:
+    for lead, row in linalg.echelon(rows, columns, ring.p):
         d = sum(lead)
-        if d <= D:
-            pieces[d].append({m: v for m, v in row.items() if sum(m) == d})
+        pieces[d].append({m: v for m, v in row.items() if sum(m) == d})
     return pieces
-
-
-def _stabilized_pieces(ring: QuotientRing, gen_polys, D: int):
-    top = max((g.degree() for g in gen_polys), default=1)
-    N = max(D, top)
-    pieces = _pieces_at(ring, gen_polys, D, N)
-    stable = 0
-    while stable < 2:
-        N += 1
-        nxt = _pieces_at(ring, gen_polys, D, N)
-        if nxt == pieces:
-            stable += 1
-        else:
-            stable = 0
-        pieces = nxt
-    return pieces, N
 
 
 # -- graded presentations --------------------------------------------------------
@@ -223,7 +206,8 @@ def gr_presentation(ring: QuotientRing, D: int | None = None) -> GradedPresentat
     if all(g.is_homogeneous() for g in basis):
         graded = QuotientRing(ring.p, ring.variables, list(basis))
         return GradedPresentation(ring, graded, D, True, "homogeneous")
-    pieces, _ = _stabilized_pieces(ring, list(basis), D)
+    # generators of in(L) above D are not computed, so the cone stays truncated
+    pieces = _pieces(ring, list(basis), D)
     ambient = QuotientRing(ring.p, ring.variables)
     gens = [ambient.from_terms(t) for piece in pieces.values() for t in piece]
     graded = QuotientRing(ring.p, ring.variables, gens)
@@ -231,7 +215,11 @@ def gr_presentation(ring: QuotientRing, D: int | None = None) -> GradedPresentat
 
 
 def gr_of_ideal(a: Ideal, presentation: GradedPresentation, D: int | None = None) -> GradedIdeal:
-    """Truncated initial ideal of an m-primary ideal inside the graded presentation."""
+    """Initial ideal of an m-primary ideal inside the graded presentation, through degree D.
+
+    Exact once D reaches the nilpotency degree N of a: in(a + L) holds every
+    monomial of degree >= N, and its pieces below N come from one matrix.
+    """
     ring = presentation.ring
     if a.ring != ring:
         raise RingError("ideal belongs to a different presentation")
@@ -250,10 +238,16 @@ def gr_of_ideal(a: Ideal, presentation: GradedPresentation, D: int | None = None
         if len(own) == 1:
             lowest = own[0].homogeneous_component(own[0].min_degree())
             return GradedIdeal(Ideal(graded, [transfer(lowest, graded)]), True, D)
-    lifted = list(a.generators) + list(ring.relations)
-    pieces, _ = _stabilized_pieces(ring, lifted, D)
+    N = a.nilpotency_degree()
+    pieces = _pieces(ring, list(a.generators) + list(ring.relations), min(D, N - 1))
     gens = [graded.from_terms(t) for piece in pieces.values() for t in piece]
-    return GradedIdeal(Ideal(graded, gens), False, D)
+    # m^N ⊆ a + L, so every monomial of degree N..D lies in in(a + L)
+    gens += [
+        graded.monomial(m)
+        for d in range(N, D + 1)
+        for m in sorted(monomials_of_degree(ring.nvars, d), key=grevlex_key)
+    ]
+    return GradedIdeal(Ideal(graded, gens), N <= D, D)
 
 
 # -- Hilbert data ------------------------------------------------------------------
@@ -297,16 +291,15 @@ def verify_gr_claim(claimed, ring: QuotientRing, D: int | None = None) -> GrClai
     basis = zero_ideal(ring).groebner_basis()
     if not basis:
         return GrClaimReport(False, "the ring has no relations; in(L) is the zero ideal")
-    _, N = _stabilized_pieces(ring, list(basis), D)
-    rows = list(_product_rows(list(basis), ring.nvars, N))
+    top = max([D] + [g.degree() for g in claimed_polys])
+    rows = list(_product_rows(list(basis), ring.nvars, top))
     witnesses = {}
     for g in claimed_polys:
         witness = _realize_initial_form(ring, rows, g)
         if witness is None:
             return GrClaimReport(
                 False,
-                f"claimed generator {g} is not the initial form of any element "
-                f"found with products up to degree {N}",
+                f"claimed generator {g} is not the initial form of any element of L",
                 witnesses,
                 truncation_degree=D,
             )

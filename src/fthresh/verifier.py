@@ -16,7 +16,7 @@ from .frobenius import _check_generators_in_m, nu, verify_theorem_A
 from .graded import (
     AtLeast,
     TruncationError,
-    _stabilized_pieces,
+    _pieces,
     gr_presentation,
     initial_form,
     ord_of,
@@ -64,7 +64,8 @@ def check_colon_lemma(ring: QuotientRing, x: Polynomial, n_max: int) -> CheckRep
     """(m^{n+1} : x) = m^n for n <= n_max, given in(x) of degree 1 regular on gr."""
     inputs = {"ring": repr(ring), "x": str(x), "n_max": n_max}
     try:
-        presentation = gr_presentation(ring)
+        # the rank test reads degrees <= n_max + 2 only
+        presentation = gr_presentation(ring, max(n_max, 0) + 2)
     except TruncationError as exc:
         return CheckReport("colon-lemma", "inconclusive", inputs, details={"reason": str(exc)})
     r = ord_of(x, ring, presentation.truncation_degree)
@@ -111,11 +112,11 @@ def check_reduction(a: Ideal, n_max: int) -> CheckReport:
     ring = a.ring
     inputs = {"ring": repr(ring), "a": repr(a), "n_max": n_max}
     _check_generators_in_m(a)
-    flags = []
-    for n in range(n_max + 1):
-        # a ⊆ m gives a m^n ⊆ m^{n+1}; only m^{n+1} ⊆ a m^n is open
-        flags.append((a * ring.power_of_maximal_ideal(n)).contains(ring.power_of_maximal_ideal(n + 1)))
-    n0 = next((n for n in range(n_max + 1) if all(flags[n:])), None)
+    # a ⊆ m gives a m^n ⊆ m^{n+1}; only m^{n+1} ⊆ a m^n is open. Once it holds
+    # it holds for every larger n (multiply by m), so the first such n is n0
+    power = ring.power_of_maximal_ideal
+    n0 = next((n for n in range(n_max + 1) if (a * power(n)).contains(power(n + 1))), None)
+    flags = [n0 is not None and n >= n0 for n in range(n_max + 1)]
     if n0 is None:
         return CheckReport(
             "reduction",
@@ -163,10 +164,8 @@ def check_lemma22(a: Ideal, b: Ideal) -> CheckReport:
     if not (a.is_m_primary() and b.is_m_primary()):
         raise RingError("both ideals must be m-primary")
     D = a.nilpotency_degree()
-    lifted_a = list(a.generators) + list(ring.relations)
-    lifted_b = list(b.generators) + list(ring.relations)
-    pieces_a, _ = _stabilized_pieces(ring, lifted_a, D)
-    pieces_b, _ = _stabilized_pieces(ring, lifted_b, D)
+    pieces_a = _pieces(ring, list(a.generators) + list(ring.relations), D)
+    pieces_b = _pieces(ring, list(b.generators) + list(ring.relations), D)
     for i in range(D + 1):
         if pieces_a[i] == pieces_b[i]:
             continue
@@ -197,7 +196,7 @@ def check_lemma22(a: Ideal, b: Ideal) -> CheckReport:
         witnesses={"element": str(outside)},
         details={
             "reason": "graded pieces agree through the nilpotency degree but the ideals differ; "
-            "truncated pieces must have undershot"
+            "the piece computation is wrong"
         },
     )
 

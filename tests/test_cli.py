@@ -127,6 +127,24 @@ def test_malformed_session_reports_position(tmp_path):
     assert "line" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "document",
+    [
+        ["p", "variables"],
+        "session",
+        {"p": 2, "variables": ["x"], "ideals": ["a"]},
+        {"p": 2, "variables": ["x"], "elements": "x"},
+        {"p": 2, "variables": ["x"], "options": [1]},
+    ],
+    ids=["list", "string", "ideals-list", "elements-string", "options-list"],
+)
+def test_session_that_is_not_an_object_is_a_usage_error(document, tmp_path, capsys):
+    path = tmp_path / "session.json"
+    path.write_text(json.dumps(document))
+    assert main(["dim", "--session", str(path)]) == 2
+    assert "object" in json.loads(capsys.readouterr().err)["error"]
+
+
 def test_report_determinism():
     argv = ["threshold", "--session", session_path("ex-regular.json"), "--a", "m", "--J", "m", "--e-max", "2"]
     _, first = run(argv)
@@ -244,16 +262,28 @@ def test_fedder_and_fpt_subcommands():
     assert [r["b"] for r in report["results"]["records"]] == [2, 6]
 
 
-def test_colon_lemma_past_the_matrix_bound_is_inconclusive():
-    # gr_presentation at the default truncation would need a 141234 x 74613
-    # Macaulay matrix (78.5 GiB); the check reports that instead of allocating
+def test_colon_lemma_on_the_determinantal_fixture_passes():
+    # the rank test reads degrees <= n_max + 2, so with the session's n_max 4
+    # the cone is built through degree 6 only
     code, report = run_report(
         ["check", "--session", session_path("ex-determinantal.json"), "--name", "colon-lemma",
          "--x", "x11"]
     )
+    assert code == 0
+    assert report["results"]["verdict"] == "pass"
+    assert report["results"]["details"] == {"initial_form": "x11"}
+
+
+def test_colon_lemma_past_the_matrix_bound_is_inconclusive():
+    # n_max 14 needs the cone through degree 16: 194113 x 74613 cells, which
+    # the check reports instead of allocating
+    code, report = run_report(
+        ["check", "--session", session_path("ex-determinantal.json"), "--name", "colon-lemma",
+         "--x", "x11", "--degree", "14"]
+    )
     assert code == 3
     assert report["results"]["verdict"] == "inconclusive"
-    assert "141234 x 74613" in report["results"]["details"]["reason"]
+    assert "194113 x 74613" in report["results"]["details"]["reason"]
 
 
 @pytest.mark.parametrize(

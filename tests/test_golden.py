@@ -9,8 +9,11 @@ initial ideals, lemma22 separating classes) before `linalg.rref` returned only
 its pivot rows, and the initial-form, F-rationality, socle and colon-lemma
 ones before the callers of `linalg` handed it term-dict rows, and the
 reduction, superficial and final-lemma22 ones before the lemma checks tested
-one containment instead of comparing two Groebner bases; a change that
-alters one of them changes a reported answer.
+one containment instead of comparing two Groebner bases. Ten were
+re-recorded when one exact Macaulay matrix replaced the stabilization loop:
+four initial ideals became exact, two theorem A reports lost their
+truncated-initial-ideal caveat, and four verify-gr reasons no longer name a
+product degree. A change that alters one of them changes a reported answer.
 Arguments are split on spaces, so generator lists are written without them.
 """
 
@@ -37,9 +40,9 @@ GOLDEN = [
     ("ex-blowup", "gr",
      (0, "cd827eac38e21cfe135d3f54d06d1d031db7b23b8d51d5a22eb3542dfa9059da")),
     ("ex-blowup", "verify-gr --a b",
-     (1, "2f84ceb6c9f967ff039589d57fe9ad53f175ab81a8007f6be59c15326d629da1")),
+     (1, "54fef45dbfe29c998d88dab13451742c61f5b08eda9fecd1338296ef14e34724")),
     ("ex-blowup", "verify-thmA",
-     (0, "5bfd4abb395af9cc3d74a1c51ee5d3ebd2e562c44edeb162ec3effded1bb08f7")),
+     (0, "5e2036e6226fb2e7d74ff7c4bcc4379b7443773d240da028a9dc4f960d70361f")),
     ("ex-cusp", "nu --a m --J J --e 1",
      (0, "ad650abc8b0efca1d42853169cd01ca1e6d5813ab6f0abcd7230e1b541d4c0db")),
     ("ex-cusp", "nu --a m --J J --e 2",
@@ -53,9 +56,9 @@ GOLDEN = [
     ("ex-cusp", "gr",
      (0, "efdcaaa23db99301de557c0ed2e7152c0bec57fd047d3f8b94773322049f61c7")),
     ("ex-cusp", "verify-gr --a J",
-     (1, "72e166b6e9ac1bef57ef95a72f009df5fe4c2094dd46067ccc731d2999c91097")),
+     (1, "673a87d4d808107836119c191c3431139074f65ea96c2ad3bde0a9fcdfd49d4e")),
     ("ex-cusp", "verify-thmA",
-     (0, "89c14fdfd70f17cd4c1bed437ca65add8659e4ba9f22c7e2b243dc0a5e2fd102")),
+     (0, "84022bb94d1f2f86572398807198421144147bed94817d502a69975925481101")),
     ("ex-fermat-cubic", "nu --a m --J J --e 1",
      (0, "080f0f66a1a736ab098beccabcbba5bb09c5e773fa51a5636cc614aad8dd02ed")),
     ("ex-fermat-cubic", "nu --a m --J J --e 2",
@@ -69,7 +72,7 @@ GOLDEN = [
     ("ex-fermat-cubic", "gr",
      (0, "d5feb11bef34d92447d6d077957fe0f6aa55ee317fd74bb349bf31203e74fb01")),
     ("ex-fermat-cubic", "verify-gr --a J",
-     (1, "15b9b35f6ff9edf5dd8b5a6c99afc87fe84a4d1d03691b3b45b3a7ad1ba11f60")),
+     (1, "54fef45dbfe29c998d88dab13451742c61f5b08eda9fecd1338296ef14e34724")),
     ("ex-fermat-cubic", "verify-thmA",
      (0, "ab7c7ac70c9f75c5db073635cd4639975b9f13d935b105ced261957a3fa385e4")),
     ("ex-node4", "nu --a m --J m --e 1",
@@ -85,7 +88,7 @@ GOLDEN = [
     ("ex-node4", "gr",
      (0, "cd827eac38e21cfe135d3f54d06d1d031db7b23b8d51d5a22eb3542dfa9059da")),
     ("ex-node4", "verify-gr --a n",
-     (1, "15b9b35f6ff9edf5dd8b5a6c99afc87fe84a4d1d03691b3b45b3a7ad1ba11f60")),
+     (1, "54fef45dbfe29c998d88dab13451742c61f5b08eda9fecd1338296ef14e34724")),
     ("ex-node4", "verify-thmA",
      (0, "fe559fb78073a708f1f2e5acebcfb87407fa5aef8ad44d28fe995d385ef58056")),
     ("ex-regular", "nu --a m --J J --e 1",
@@ -146,20 +149,20 @@ GOLDEN = [
      (0, "7adc438aa8530812622adde6cbac6264bb9467af45716940fe6da4fbd6bcd85c")),
     ("ex-determinantal", "check --name reduction --a m",
      (0, "11af31cb0697fd9ceb78529b15562f1feca16a599ba1354b5ba94ee63c18ad83")),
-    # Macaulay pieces: truncated cones, truncated initial ideals and the
+    # Macaulay pieces: a truncated cone, exact initial ideals and the
     # separating classes of lemma22
     ("ex-determinantal", "gr",
      (0, "144578c03a0ca30f32be5c49a501b960ba0ff3c52d2228aa247fa808223dd689")),
     ("ex-determinantal", "gr-ideal --a m",
-     (0, "a185ef6bbcbd1796517f347f1d0557693a68c74fe1c4c112b00a839985edb5e2")),
+     (0, "cef73719085d4fa37d558b52c1e50bdaea37d047957239626631110d6729a463")),
     ("ex-determinantal", "verify-gr --a minors",
      (0, "54a3f37c2dee5ab016f4a7a7b1f36abd8f538be8070b176152cdc2422035b589")),
     ("ex-blowup", "gr-ideal --a m",
-     (0, "d4badeefa7d754be13dc9089a98ea4254e2eb3e96e0d860990cada415ac8407b")),
+     (0, "7b0153ef2777ee448f79c12fd040442e3f6c5e19000a699b4e94c21e26513437")),
     ("ex-cusp", "gr-ideal --a J",
-     (0, "87d221fe39455eeebcca5ff476ae7797fc088b012c66dca18d95107bc599e35d")),
+     (0, "5b2dd9006d44a8fd65b39344b01567760eaa5b83edcadc3800af8c6538c1e847")),
     ("ex-cusp", "gr-ideal --a m",
-     (0, "081abe01f8c9e0a0dcb48060577a0b0dd0087c6848175adebe1fc909d17e5ded")),
+     (0, "27a9264aa649dd14ad32a890572cba0906ad92de5446ab5c31ed77a1e23c6b4e")),
     ("ex-blowup", "check --name lemma22 --a x^2,y,z,w --b m",
      (0, "f3b5a19ed7ecba41001402b40bc0f2a86828184a8fa220a108422a99b3fab22a")),
     ("ex-cusp", "check --name lemma22 --a x,y^2 --b m",

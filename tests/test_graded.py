@@ -13,8 +13,12 @@ from fthresh import (
     ord_of,
     verify_gr_claim,
 )
+from fthresh import graded
+from fthresh.cli import Session
 from fthresh.graded import TruncationError
-from fthresh.ring import monomials_of_degree
+from fthresh.ring import monomials_of_degree, transfer
+from fthresh.verifier import random_hypersurface, random_m_primary
+from conftest import session_path
 from oracles import hilbert_monomial_oracle
 
 
@@ -213,3 +217,36 @@ def test_oversized_macaulay_matrix_is_refused_before_allocation():
     ring = QuotientRing(2, ["a", "b", "c", "d", "e", "f"], ["a*b - c^6", "d*e - f^6"])
     with pytest.raises(TruncationError, match="exceeds the bound of 134217728 cells"):
         gr_presentation(ring)
+
+
+def test_determinantal_cone_at_the_default_truncation_is_refused_before_any_row(monkeypatch):
+    ring = Session.load(session_path("ex-determinantal.json")).ring
+
+    def no_rows(*args):
+        raise AssertionError("a product row was built")
+
+    monkeypatch.setattr(graded, "monomial_mul", no_rows)
+    with pytest.raises(TruncationError, match="194113 x 74613 cells through degree 16"):
+        gr_presentation(ring, 16)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_initial_ideal_has_the_colength_of_the_ideal(p):
+    """length S/in(I) = length S/I on the 25 theorem A trials per prime of criterion 4.
+
+    Both sides are counted on Groebner staircases, with no Macaulay matrix.
+    """
+    for trial in range(25):
+        rng = random.Random(trial)
+        ring = random_hypersurface(rng, p)
+        b = random_m_primary(rng, ring)
+        initial = gr_of_ideal(b, gr_presentation(ring), b.nilpotency_degree())
+        assert initial.exact
+        ambient = QuotientRing(p, ring.variables)
+        lifted = list(initial.ideal.generators) + list(initial.ideal.ring.relations)
+        original = list(b.generators) + list(ring.relations)
+        colengths = [
+            len(Ideal(ambient, [transfer(g, ambient) for g in gens]).standard_monomials())
+            for gens in (lifted, original)
+        ]
+        assert colengths[0] == colengths[1], (trial, colengths)

@@ -18,8 +18,8 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import session_path
 from fthresh import QuotientRing, linalg
-from fthresh.graded import _column_layout, _product_rows
 from fthresh.linalg import _dense
+from fthresh.ring import grevlex_key, monomial_mul, monomials_up_to_degree
 from oracles import rref_mod_p
 
 PRIMES = [2, 3, 65521]
@@ -144,17 +144,25 @@ def test_seeded_sparse_and_dense(seed):
 
 
 def test_determinantal_macaulay_matrix():
-    """A real product-row matrix of the deformed determinantal fixture."""
+    """A real product-row matrix of the deformed determinantal fixture.
+
+    The rows are the products x^m * g of total degree <= 7, g a relation.
+    """
     with open(session_path("ex-determinantal.json")) as fh:
         data = json.load(fh)
     ring = QuotientRing(data["p"], data["variables"], data["relations"])
-    columns = _column_layout(ring.nvars, 7)
-    rows = list(_product_rows(list(ring.relations), ring.nvars, 7))
+    columns = sorted(monomials_up_to_degree(ring.nvars, 7), key=grevlex_key)
+    rows = [
+        {monomial_mul(gm, x): c for gm, c in g.terms.items()}
+        for g in ring.relations
+        for x in monomials_up_to_degree(ring.nvars, 7 - g.degree())
+    ]
     index = {mono: j for j, mono in enumerate(columns)}
     m = np.zeros((len(rows), len(columns)), dtype=np.int64)
     for i, row in enumerate(rows):
         for mono, v in row.items():
             m[i, index[mono]] = v
+    assert m.shape == (931, 1716)
     assert (m != 0).sum() <= 3 * m.shape[0]
     assert np.array_equal(_dense(iter(rows), columns), m)
     check_rows(m, ring.p)
