@@ -47,6 +47,11 @@ class UsageError(ValueError):
     pass
 
 
+def _check_strings(what: str, value):
+    if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
+        raise UsageError(f"session {what} must be a list of strings")
+
+
 @dataclass
 class Session:
     """Parsed session file: one ring presentation plus named ideals/elements."""
@@ -78,6 +83,13 @@ class Session:
         for key in ("p", "variables"):
             if key not in data:
                 raise UsageError(f"session file is missing the required field {key!r}")
+        _check_strings("variables", data["variables"])
+        _check_strings("relations", data.get("relations", []))
+        for name, gens in data.get("ideals", {}).items():
+            _check_strings(f"ideal {name!r}", gens)
+        for name, text in data.get("elements", {}).items():
+            if not isinstance(text, str):
+                raise UsageError(f"session element {name!r} must be a string")
         try:
             ring = QuotientRing(data["p"], data["variables"], data.get("relations", []))
         except (ParseError, RingError) as exc:

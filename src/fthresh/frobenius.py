@@ -3,7 +3,10 @@
 nu(a, J, e) is the largest t with a^t not contained in the bracket power
 J^[p^e] (computed through lifted ideals, so quotient presentations just
 work). Monomial data take an ascending sweep that reuses p * nu(p^(e-1)) as
-a verified warm start. Other data take the level chain: level t is a
+a verified warm start. When a is the maximal ideal, the sweep over degree t
+visits only the monomials that no monomial basis element of J^[q] divides:
+the skipped ones lie in J^[q], so the first escaping monomial (the witness)
+is unchanged. Other data take the level chain: level t is a
 row-reduced basis, modulo J^[q], of the products of t generators of a, and
 the chain stops at the first empty level. Each record carries a dual
 certificate that is re-checked on construction.
@@ -78,7 +81,7 @@ def _all_monomial(polys) -> bool:
 
 
 def _power_products(a: Ideal, t: int):
-    """Generators of a^t; lazy monomial enumeration when a is the maximal ideal."""
+    """Generators of a^t; lazy monomial enumeration when a is the maximal ideal (seeded scans)."""
     if t == 0:
         yield a.ring.one()
         return
@@ -91,12 +94,17 @@ def _power_products(a: Ideal, t: int):
 
 
 def _first_escaping(a: Ideal, t: int, target: Ideal, seeds=None):
-    """An element of a^t * (seeds) outside the target ideal, or None if contained."""
+    """An element of a^t * (seeds) outside the target ideal, or None if contained.
+
+    Unseeded with a = m, only the target's candidate monomials are tried:
+    the others lie in the target, so the first escaping monomial is the same.
+    """
     if seeds is None:
-        for g in _power_products(a, t):
-            if not target.contains_poly(g):
-                return g
-        return None
+        if _is_maximal_ideal(a):
+            products = map(a.ring.monomial, target.candidate_monomials(t))
+        else:
+            products = a.power_generators(t)
+        return next((g for g in products if not target.contains_poly(g)), None)
     for g in _power_products(a, t):
         for s in seeds:
             h = g * s

@@ -29,7 +29,7 @@ from .ring import (
     monomial_divides,
     monomial_lcm,
     monomial_mul,
-    monomials_of_degree,
+    monomials_outside,
 )
 
 
@@ -401,10 +401,7 @@ class Ideal:
                 raise RingError("nilpotency degree requires an m-primary ideal")
             # m-primary, so some m^N lies inside and the loop ends
             N = 1
-            while not all(
-                self.contains_poly(self.ring.monomial(m))
-                for m in monomials_of_degree(self.ring.nvars, N)
-            ):
+            while not all(self.contains_poly(self.ring.monomial(m)) for m in self.candidate_monomials(N)):
                 N += 1
             self._nilpotency = N
         return self._nilpotency
@@ -425,12 +422,15 @@ class Ideal:
     def standard_monomials_of_degree(self, degree: int):
         """Monomials of this degree outside the lead-term staircase, in monomials_of_degree order."""
         self.groebner_basis()
-        leads = [lead for lead, _ in self._gb_leads]
-        return [
-            m
-            for m in monomials_of_degree(self.ring.nvars, degree)
-            if not any(monomial_divides(lead, m) for lead in leads)
-        ]
+        return list(monomials_outside([lead for lead, _ in self._gb_leads], self.ring.nvars, degree))
+
+    def candidate_monomials(self, degree: int):
+        """Monomials of this degree that no monomial basis element divides, in monomials_of_degree order.
+
+        Every other monomial of this degree lies in the ideal.
+        """
+        self.groebner_basis()
+        return monomials_outside(self._monomial_elements, self.ring.nvars, degree)
 
     def socle(self) -> SocleBasis:
         """Basis of (self : m)/self via multiplication-map kernels on the staircase."""

@@ -107,6 +107,30 @@ def monomials_of_degree(nvars: int, degree: int):
             yield (first,) + rest
 
 
+def monomials_outside(gens, nvars: int, degree: int):
+    """Yield the exponent tuples of the given degree that no tuple in gens divides, in monomials_of_degree order.
+
+    The walk fixes one variable at a time and keeps only the gens that fit
+    under the exponents fixed so far. A kept gen with nothing left in the
+    remaining variables divides every completion, so it caps the current
+    exponent below its own.
+    """
+    # each gen travels with the index of its last nonzero exponent (-1 for the zero tuple)
+    gens = [(g, max((i for i, e in enumerate(g) if e), default=-1)) for g in gens]
+
+    def walk(i, left, live):
+        stop = min((g[i] for g, last in live if last <= i), default=left + 1)
+        if i == nvars - 1:
+            if left < stop:
+                yield (left,)
+            return
+        for first in range(min(left, stop - 1), -1, -1):
+            for rest in walk(i + 1, left - first, [(g, last) for g, last in live if g[i] <= first]):
+                yield (first,) + rest
+
+    yield from walk(0, degree, gens)
+
+
 def monomials_up_to_degree(nvars: int, degree: int):
     for d in range(degree + 1):
         yield from monomials_of_degree(nvars, d)

@@ -145,6 +145,29 @@ def test_session_that_is_not_an_object_is_a_usage_error(document, tmp_path, caps
     assert "object" in json.loads(capsys.readouterr().err)["error"]
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"ideals": {"a": 5}},
+        {"elements": {"u": 5}},
+        {"variables": [1, 2]},
+        {"relations": [5]},
+        {"ideals": {"a": ["x", 5]}},
+        {"variables": "xy"},
+        {"relations": "x*y"},
+    ],
+    ids=["ideal-number", "element-number", "variable-numbers", "relation-number",
+         "ideal-generator-number", "variables-string", "relations-string"],
+)
+def test_session_value_of_the_wrong_type_is_a_usage_error(fields, tmp_path, capsys):
+    path = tmp_path / "session.json"
+    path.write_text(json.dumps({"p": 2, "variables": ["x", "y"], **fields}))
+    with pytest.raises(UsageError):
+        Session.load(str(path))
+    assert main(["dim", "--session", str(path)]) == 2
+    assert "must be" in json.loads(capsys.readouterr().err)["error"]
+
+
 def test_report_determinism():
     argv = ["threshold", "--session", session_path("ex-regular.json"), "--a", "m", "--J", "m", "--e-max", "2"]
     _, first = run(argv)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import session_path
 from fthresh import (
     Ideal,
     QuotientRing,
@@ -14,6 +15,8 @@ from fthresh import (
     verify_theorem_A,
 )
 from fthresh import frobenius
+from fthresh.cli import Session
+from fthresh.ring import monomials_of_degree
 from oracles import nu_monomial_oracle, simplest_rational_oracle
 
 
@@ -222,3 +225,72 @@ def test_nu_level_past_the_cell_bound_is_refused(regular2, monkeypatch):
         nu(a, regular2.maximal_ideal(), 2)
     monkeypatch.setattr(frobenius, "_MAX_MATRIX_CELLS", 24)
     assert nu(a, regular2.maximal_ideal(), 2).nu == 6
+
+
+FIXTURES = ["ex-regular", "ex-blowup", "ex-node4", "ex-determinantal", "ex-fermat-cubic", "ex-cusp"]
+
+
+def _first_escaping_monomial(ring, target, t):
+    """First monomial of degree t, in monomials_of_degree order, outside target (full sweep)."""
+    for exponents in monomials_of_degree(ring.nvars, t):
+        g = ring.monomial(exponents)
+        if not target.contains_poly(g):
+            return g
+    return None
+
+
+def _full_sweep_records(m, e_max):
+    """(nu, witness) per e of threshold_estimate(m, m, e_max), rebuilt with full sweeps.
+
+    Mirrors the monomial scan: start at the warm start p * nu(q/p) (at 0 if
+    that is already contained), step to the first generator multiple of the
+    witness that escapes, else to the first escaping monomial of the next
+    degree, and stop when there is none.
+    """
+    ring = m.ring
+    prev, out = 0, []
+    for e in range(1, e_max + 1):
+        target = m.bracket(ring.p**e)
+        t = ring.p * prev
+        witness = _first_escaping_monomial(ring, target, t)
+        if witness is None:
+            t, witness = 0, _first_escaping_monomial(ring, target, 0)
+        while True:
+            nxt = next((h for h in (witness * g for g in m.generators) if not target.contains_poly(h)), None)
+            nxt = nxt or _first_escaping_monomial(ring, target, t + 1)
+            if nxt is None:
+                break
+            t, witness = t + 1, nxt
+        out.append((t, str(witness)))
+        prev = t
+    return out
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_maximal_ideal_scan_matches_full_sweep(name):
+    ring = Session.load(session_path(name + ".json")).ring
+    m = ring.maximal_ideal()
+    est = threshold_estimate(m, m, 3)
+    assert [(r.nu, str(r.witness)) for r in est.records] == _full_sweep_records(m, 3)
+    for r in est.records:
+        target = m.bracket(r.q)
+        N = 1
+        while _first_escaping_monomial(ring, target, N) is not None:
+            N += 1
+        assert target.nilpotency_degree() == N
+
+
+def test_maximal_ideal_scan_skips_monomials_in_the_bracket(monkeypatch):
+    # a full sweep of the degree-94 monomials at e = 5 made 379,298 membership
+    # tests; the candidates outside the monomial basis elements need 116
+    calls = [0]
+    contains_poly = Ideal.contains_poly
+
+    def counted(self, f):
+        calls[0] += 1
+        return contains_poly(self, f)
+
+    monkeypatch.setattr(Ideal, "contains_poly", counted)
+    m = Session.load(session_path("ex-node4.json")).ring.maximal_ideal()
+    threshold_estimate(m, m, 5)
+    assert calls[0] < 1000

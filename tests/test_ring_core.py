@@ -1,8 +1,15 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fthresh import ParseError, PrimeField, QuotientRing, RingError, parse_poly
-from fthresh.ring import MAX_EXPONENT, grevlex_key, monomial_mul
+from fthresh.ring import (
+    MAX_EXPONENT,
+    grevlex_key,
+    monomial_divides,
+    monomial_mul,
+    monomials_of_degree,
+    monomials_outside,
+)
 
 
 def test_parse_mod2_reduction():
@@ -115,6 +122,32 @@ def test_monomial_order_total_and_multiplicative(a, b, c):
         assert grevlex_key(monomial_mul(a, c)) < grevlex_key(monomial_mul(b, c))
     if sum(a) < sum(b):
         assert ka < kb
+
+
+@st.composite
+def staircases(draw):
+    """(gens, nvars, degree): 1-4 variables, degree 0-12, gens possibly empty, repeated or holding 0."""
+    nvars = draw(st.integers(1, 4))
+    gens = draw(st.lists(st.tuples(*[st.integers(0, 6)] * nvars), max_size=6))
+    if gens and draw(st.booleans()):
+        gens.append(gens[0])
+    if draw(st.integers(0, 9)) == 0:
+        gens.append((0,) * nvars)
+    return gens, nvars, draw(st.integers(0, 12))
+
+
+@given(staircases())
+@example(([], 3, 7))
+@example(([(1, 2), (1, 2), (3, 0)], 2, 5))
+@example(([(0, 0, 0, 0)], 4, 0))
+@example(([(2,), (0,)], 1, 12))
+@settings(max_examples=300, deadline=None)
+def test_monomials_outside_is_the_filtered_sweep(case):
+    gens, nvars, degree = case
+    expected = [
+        m for m in monomials_of_degree(nvars, degree) if not any(monomial_divides(g, m) for g in gens)
+    ]
+    assert list(monomials_outside(gens, nvars, degree)) == expected
 
 
 def test_ring_mismatch_raises():
