@@ -21,7 +21,7 @@ from fractions import Fraction
 from . import linalg
 from .graded import _MAX_MATRIX_CELLS, GradedPresentation, gr_of_ideal, gr_presentation, hilbert_data
 from .ideals import Ideal
-from .ring import Polynomial, QuotientRing, RingError, grevlex_key, monomials_of_degree
+from .ring import Polynomial, QuotientRing, RingError, grevlex_key
 
 
 @dataclass
@@ -80,34 +80,19 @@ def _all_monomial(polys) -> bool:
     return all(len(g.terms) == 1 for g in polys)
 
 
-def _power_products(a: Ideal, t: int):
-    """Generators of a^t; lazy monomial enumeration when a is the maximal ideal (seeded scans)."""
-    if t == 0:
-        yield a.ring.one()
-        return
-    if _is_maximal_ideal(a):
-        ring = a.ring
-        for m in monomials_of_degree(ring.nvars, t):
-            yield ring.monomial(m)
-        return
-    yield from a.power_generators(t)
-
-
 def _first_escaping(a: Ideal, t: int, target: Ideal, seeds=None):
     """An element of a^t * (seeds) outside the target ideal, or None if contained.
 
-    Unseeded with a = m, only the target's candidate monomials are tried:
-    the others lie in the target, so the first escaping monomial is the same.
+    With a = m, only the target's candidate monomials g are tried: the others
+    lie in the target, and so does g * s for every seed s, so the first
+    escaping product is the same.
     """
-    if seeds is None:
-        if _is_maximal_ideal(a):
-            products = map(a.ring.monomial, target.candidate_monomials(t))
-        else:
-            products = a.power_generators(t)
-        return next((g for g in products if not target.contains_poly(g)), None)
-    for g in _power_products(a, t):
-        for s in seeds:
-            h = g * s
+    if _is_maximal_ideal(a):
+        products = map(a.ring.monomial, target.candidate_monomials(t))
+    else:
+        products = a.power_generators(t)
+    for g in products:
+        for h in (g,) if seeds is None else (g * s for s in seeds):
             if not target.contains_poly(h):
                 return h
     return None
@@ -118,8 +103,8 @@ def _scan_monomial(a: Ideal, target: Ideal, warm_start: int, seeds=None):
 
     Returns None when already a^warm_start * seeds is contained (warm start
     invalid). The escape search at each next level first tries multiples of
-    the previous witness, falling back to a full sweep; the final containment
-    is always established by a full sweep.
+    the previous witness, falling back to the sweep of `_first_escaping`; the
+    final containment is always established by that sweep.
     """
     t = warm_start
     witness = _first_escaping(a, t, target, seeds)

@@ -427,7 +427,9 @@ class Ideal:
     def candidate_monomials(self, degree: int):
         """Monomials of this degree that no monomial basis element divides, in monomials_of_degree order.
 
-        Every other monomial of this degree lies in the ideal.
+        Every other monomial of this degree lies in the ideal. contains_poly's
+        monomial-element shortcut never fires on these, so testing one costs
+        that scan plus a normal form; the scan is small beside the normal form.
         """
         self.groebner_basis()
         return monomials_outside(self._monomial_elements, self.ring.nvars, degree)
