@@ -19,8 +19,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .graded import _MAX_MATRIX_CELLS, GradedPresentation, gr_of_ideal, gr_presentation, hilbert_data
+from .graded import GradedPresentation, gr_of_ideal, gr_presentation, hilbert_data
 from .ideals import Ideal
+from .linalg import _MAX_MATRIX_CELLS
 from .ring import Polynomial, QuotientRing, RingError, grevlex_key
 
 

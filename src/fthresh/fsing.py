@@ -188,6 +188,8 @@ def tc_member(
     assume_domain: bool = False,
 ) -> TcVerdict:
     """Probe x against the tight closure of J with multiplier c."""
+    if e_max < 1:
+        raise RingError("e_max must be at least 1")
     ring = J.ring
     x = transfer(x, ring)
     c = transfer(c, ring)

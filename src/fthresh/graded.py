@@ -7,7 +7,8 @@ in S/m^(d+1), which the products x^m * g with deg x^m <= D - ord(g), cut
 above degree D, span. Every piece through D is exact; the exact flag records
 whether those pieces determine the whole ideal. They do for an m-primary
 ideal once D reaches its nilpotency degree; a cone in(L) built this way stays
-flagged truncated, since its generators above D are not computed.
+flagged truncated, since its generators above D are not computed. Hilbert data
+read the same matrix: h_d is the number of degree-d monomials minus dim in(L)_d.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from dataclasses import dataclass, field
 
 from . import linalg
 from .ideals import Ideal, zero_ideal
+from .linalg import _MAX_MATRIX_CELLS
 from .ring import (
     Polynomial,
     QuotientRing,
@@ -45,11 +47,6 @@ class HilbertData:
     """h_i = dim_k (m^i + L)/(m^{i+1} + L) for i = 0..D."""
 
     values: list
-
-    def __eq__(self, other):
-        if isinstance(other, HilbertData):
-            return self.values == other.values
-        return self.values == list(other)
 
 
 @dataclass
@@ -141,10 +138,6 @@ def initial_form(f: Polynomial, ring: QuotientRing, cutoff: int) -> Polynomial:
 
 
 # -- Macaulay pieces -------------------------------------------------------------
-
-# Most cells (rows x columns) of a Macaulay matrix; a larger one is refused
-# before any row is built. The largest the tests and benchmark build has 1,597,596.
-_MAX_MATRIX_CELLS = 2**27
 
 
 def _product_rows(gen_polys, nvars: int, D: int):
@@ -253,28 +246,19 @@ def gr_of_ideal(a: Ideal, presentation: GradedPresentation, D: int | None = None
 # -- Hilbert data ------------------------------------------------------------------
 
 
-def _standard_counts(ideal: Ideal, max_degree: int):
-    """Count, per degree, monomials not divisible by any basis lead."""
-    return [len(ideal.standard_monomials_of_degree(d)) for d in range(max_degree + 1)]
-
-
 def hilbert_data(obj, D: int) -> HilbertData:
-    """Filtration dimensions h_i = dim (m^i+L)/(m^{i+1}+L) through degree D."""
+    """Filtration dimensions h_i = dim (m^i+L)/(m^{i+1}+L) through degree D.
+
+    A ring's h_i is the number of degree-i monomials minus dim in(L)_i, from the relations' one
+    Macaulay matrix; a presentation S/in(L) counts its Groebner staircase, so the two check each other.
+    """
     if D < 0:
         raise RingError("D must be nonnegative")
     if isinstance(obj, GradedPresentation):
-        counts = _standard_counts(zero_ideal(obj.graded_ring), D)
-        return HilbertData(counts)
-    ring = obj
-    dims = []
-    for i in range(D + 2):
-        handle = ring.power_of_maximal_ideal(i)
-        if i == 0:
-            dims.append(0)
-            continue
-        counts = _standard_counts(handle, i - 1)
-        dims.append(sum(counts))
-    return HilbertData([dims[i + 1] - dims[i] for i in range(D + 1)])
+        staircase = zero_ideal(obj.graded_ring)
+        return HilbertData([len(staircase.standard_monomials_of_degree(d)) for d in range(D + 1)])
+    pieces = _pieces(obj, list(obj.relations), D)
+    return HilbertData([math.comb(d + obj.nvars - 1, d) - len(pieces[d]) for d in range(D + 1)])
 
 
 # -- claim verification ---------------------------------------------------------------
@@ -306,7 +290,7 @@ def verify_gr_claim(claimed, ring: QuotientRing, D: int | None = None) -> GrClai
         witnesses[str(g)] = witness
     ambient = QuotientRing(ring.p, ring.variables)
     claimed_ideal = Ideal(ambient, [transfer(g, ambient) for g in claimed_polys])
-    h_claimed = _standard_counts(claimed_ideal, D)
+    h_claimed = [len(claimed_ideal.standard_monomials_of_degree(d)) for d in range(D + 1)]
     h_ring = hilbert_data(ring, D).values
     if h_claimed != h_ring:
         return GrClaimReport(

@@ -19,6 +19,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import linalg
+from .linalg import _MAX_MATRIX_CELLS
 from .ring import (
     Polynomial,
     QuotientRing,
@@ -411,13 +412,9 @@ class Ideal:
         caps = self._pure_power_leads()
         if None in caps:
             raise RingError("staircase is not cofinite; infinitely many standard monomials")
-        leads = [lead for lead, _ in self._gb_leads]
-        out = []
-        for m in itertools.product(*(range(c) for c in caps)):
-            if not any(monomial_divides(lead, m) for lead in leads):
-                out.append(m)
-        out.sort(key=grevlex_key)
-        return out
+        # exponents stay below the caps, so degrees stay at most sum(caps) - nvars
+        degrees = range(sum(caps) - self.ring.nvars + 1)
+        return sorted((m for d in degrees for m in self.standard_monomials_of_degree(d)), key=grevlex_key)
 
     def standard_monomials_of_degree(self, degree: int):
         """Monomials of this degree outside the lead-term staircase, in monomials_of_degree order."""
@@ -445,6 +442,9 @@ class Ideal:
             {(v, n): c for v, x in xs for n, c in self.normal_form(self.ring.monomial(m) * x).terms.items()}
             for m in std
         ]
+        nkeys = len({key for row in rows for key in row})  # kernel reduces one matrix row per key
+        if nkeys * len(rows) > _MAX_MATRIX_CELLS:
+            raise RingError(f"a socle matrix of {nkeys} x {len(rows)} cells exceeds {_MAX_MATRIX_CELLS}")
         kernel = linalg.kernel(rows, self.ring.p)
         reps = [Polynomial(self.ring, {m: c for m, c in zip(std, x) if c}) for x in kernel]
         reps.sort(key=lambda f: grevlex_key(_leading(f.terms, grevlex_key)))

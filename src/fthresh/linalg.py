@@ -18,6 +18,10 @@ from collections import defaultdict
 
 import numpy as np
 
+# Most cells (rows x columns) of a matrix; callers count them and refuse a larger
+# one before building it. The largest the tests and benchmark build has 1,597,596.
+_MAX_MATRIX_CELLS = 2**27
+
 
 def rref(matrix: np.ndarray, p: int):
     """Reduced row echelon form mod p, as its pivot rows.

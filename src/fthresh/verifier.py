@@ -62,10 +62,12 @@ def _multiplication_injective_through(graded_ring: QuotientRing, form: Polynomia
 
 def check_colon_lemma(ring: QuotientRing, x: Polynomial, n_max: int) -> CheckReport:
     """(m^{n+1} : x) = m^n for n <= n_max, given in(x) of degree 1 regular on gr."""
+    if n_max < 0:
+        raise RingError("n_max must be at least 0")
     inputs = {"ring": repr(ring), "x": str(x), "n_max": n_max}
     try:
         # the rank test reads degrees <= n_max + 2 only
-        presentation = gr_presentation(ring, max(n_max, 0) + 2)
+        presentation = gr_presentation(ring, n_max + 2)
     except TruncationError as exc:
         return CheckReport("colon-lemma", "inconclusive", inputs, details={"reason": str(exc)})
     r = ord_of(x, ring, presentation.truncation_degree)
@@ -241,6 +243,8 @@ def random_m_primary(rng: random.Random, ring: QuotientRing) -> Ideal:
 
 def check_monotonicity(ring: QuotientRing, trials: int, e_max: int, seed: int) -> CheckReport:
     """Bracket/power monotonicity and Frobenius scaling on seeded random pairs."""
+    if trials < 0 or e_max < 1:
+        raise RingError("trials must be at least 0 and e_max at least 1")
     inputs = {"ring": repr(ring), "trials": trials, "e_max": e_max}
     violations = []
     for trial in range(trials):
@@ -297,6 +301,8 @@ def check_theorem_A_randomized(
     b_mode: str = "random",
 ) -> CheckReport:
     """verify_theorem_A over random hypersurfaces with random m-primary b."""
+    if trials < 0 or e_max < 1:
+        raise RingError("trials must be at least 0 and e_max at least 1")
     inputs = {"p": p, "trials": trials, "e_max": e_max, "b_mode": b_mode}
     failures = []
     inconclusive = []

@@ -122,6 +122,36 @@ def hilbert_monomial_oracle(generator_exps, nvars, degree_bound):
     return values
 
 
+def hilbert_oracle(relation_terms, nvars, p, D):
+    """h_d = dim (m^d + L)/(m^(d+1) + L), d <= D, from dense spans of L in S/m^(d+1).
+
+    The span of L in S/m^(d+1) is that of the products x^m * g with
+    deg x^m + ord(g) <= d, cut above degree d. Its rank r_d grows by
+    dim in(L)_d from r_(d-1), and h_d is the number of degree-d monomials
+    minus that growth.
+    """
+    values = []
+    previous = 0
+    for d in range(D + 1):
+        columns = monomials_upto(nvars, d)
+        index = {m: j for j, m in enumerate(columns)}
+        rows = []
+        for g in relation_terms:
+            order = min(sum(m) for m in g)
+            for mult in monomials_upto(nvars, d - order):
+                row = {}
+                for gm, c in g.items():
+                    key = tuple(a + b for a, b in zip(gm, mult))
+                    if sum(key) <= d:
+                        row[key] = c % p
+                rows.append(poly_to_vector(row, index, p))
+        rank = len(rref_mod_p(np.array(rows, dtype=np.int64), p)[1]) if rows else 0
+        degree_d = sum(1 for m in columns if sum(m) == d)
+        values.append(degree_d - (rank - previous))
+        previous = rank
+    return values
+
+
 def simplest_rational_oracle(lo, hi, max_denominator):
     """Brute force: scan denominators upward, numerators upward, first hit wins."""
     from fractions import Fraction

@@ -351,6 +351,24 @@ def test_superficial_negative_degree_is_a_usage_error(capsys):
     assert "c_max must be at least 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["check", "--name", "monotonicity", "--trials", "-2"], "trials must be at least 0"),
+        (["check", "--name", "monotonicity", "--e-max", "-1"], "e_max at least 1"),
+        (["check", "--name", "theoremA", "--trials", "-1"], "trials must be at least 0"),
+        (["check", "--name", "colon-lemma", "--x", "x", "--degree", "-3"], "n_max must be at least 0"),
+        (["tc", "--x", "u", "--J", "J", "--c", "c", "--e-max", "0"], "e_max must be at least 1"),
+    ],
+    ids=["monotonicity-trials", "monotonicity-e-max", "theoremA-trials", "colon-lemma-degree", "tc-e-max"],
+)
+def test_vacuous_check_input_is_a_usage_error(argv, message, capsys):
+    # each of these would otherwise pass, or answer, having checked nothing
+    argv = argv[:1] + ["--session", session_path("ex-fermat-cubic.json")] + argv[1:]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
 # A flag placed before the command (`--session s dim`) is accepted, and so is a
 # `--` separator in a session command's argv; every argv below is refused.
 @pytest.mark.parametrize(

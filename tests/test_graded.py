@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -19,7 +20,7 @@ from fthresh.graded import TruncationError
 from fthresh.ring import monomials_of_degree, transfer
 from fthresh.verifier import random_hypersurface, random_m_primary
 from conftest import session_path
-from oracles import hilbert_monomial_oracle
+from oracles import hilbert_monomial_oracle, hilbert_oracle
 
 
 def test_ord_examples(regular2, blowup):
@@ -98,6 +99,44 @@ def test_hilbert_examples(regular2, node4):
     oracle = hilbert_monomial_oracle([(1, 1, 0, 0)], 4, 3)
     assert oracle == [1, 4, 9, 16]
     assert hilbert_data(node4, 3).values == oracle
+
+
+@pytest.mark.parametrize(
+    "name,D",
+    [("ex-regular", 8), ("ex-blowup", 8), ("ex-node4", 8), ("ex-determinantal", 5),
+     ("ex-fermat-cubic", 8), ("ex-cusp", 8)],
+)
+def test_hilbert_data_matches_the_dense_oracle(name, D):
+    ring = Session.load(session_path(f"{name}.json")).ring
+    expected = hilbert_oracle([g.terms for g in ring.relations], ring.nvars, ring.p, D)
+    assert hilbert_data(ring, D).values == expected
+
+
+def test_hilbert_data_matches_the_dense_oracle_on_random_rings():
+    for seed in range(50):
+        rng = random.Random(700 + seed)
+        p = rng.choice([2, 3, 5])
+        ambient = QuotientRing(p, ["x", "y", "z"][: rng.randint(2, 3)])
+        relations = [f for f in (_random_poly(rng, ambient) for _ in range(rng.randint(1, 3))) if not f.is_zero()]
+        ring = QuotientRing(p, ambient.variables, [str(f) for f in relations])
+        expected = hilbert_oracle([g.terms for g in ring.relations], ring.nvars, p, 5)
+        assert hilbert_data(ring, 5).values == expected, (seed, ring)
+
+
+def test_hilbert_data_reads_the_one_matrix(monkeypatch):
+    # h_7 = 286 is the exact value on the deformed determinantal ring (the
+    # truncated cone gives 288); no basis of m^i + L may be built for it
+    ring = Session.load(session_path("ex-determinantal.json")).ring
+
+    def no_power(self, k):
+        raise AssertionError("a power of the maximal ideal was built")
+
+    monkeypatch.setattr(QuotientRing, "power_of_maximal_ideal", no_power)
+    assert hilbert_data(ring, 7).values == [1, 6, 18, 40, 75, 126, 196, 286]
+    start = time.perf_counter()
+    with pytest.raises(TruncationError, match="116280 x 74613 cells through degree 16"):
+        hilbert_data(ring, 16)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_verify_gr_claim_blowup(blowup):

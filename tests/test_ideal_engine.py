@@ -1,11 +1,13 @@
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fthresh import Ideal, QuotientRing, RingError, ring_dimension
+from fthresh import ideals
 from fthresh.ideals import buchberger
-from fthresh.ring import elimination_key, grevlex_key
+from fthresh.ring import elimination_key, grevlex_key, monomial_divides
 from oracles import macaulay_member
 
 
@@ -108,6 +110,29 @@ def test_socle_examples(regular2, fermat_cubic):
 def test_socle_requires_m_primary(regular2):
     with pytest.raises(RingError):
         Ideal(regular2, ["x"]).socle()
+
+
+def test_socle_past_the_cell_bound_is_refused(node4, monkeypatch):
+    # the socle kernel of (x^8, y^8, z^8, w^8) + (x*y) reduces 2576 keys x 960 staircase monomials
+    target = node4.maximal_ideal().bracket(8)
+    monkeypatch.setattr(ideals, "_MAX_MATRIX_CELLS", 2576 * 960 - 1)
+    with pytest.raises(RingError, match="socle matrix of 2576 x 960 cells exceeds"):
+        target.socle()
+    monkeypatch.setattr(ideals, "_MAX_MATRIX_CELLS", 2576 * 960)
+    assert len(target.socle().representatives) == 2
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_standard_monomials_match_the_filtered_box(seed, node2):
+    # reference: every exponent tuple below the pure-power caps, minus the staircase, in grevlex order
+    rng = random.Random(300 + seed)
+    ring = node2 if seed % 2 else QuotientRing(3, ["x", "y", "z"])
+    powers = Ideal(ring, [f"{v}^{rng.randint(1, 5)}" for v in ring.variables])
+    ideal = _random_ideal(rng, ring, count=3) * ring.maximal_ideal() + powers
+    leads = [max(g.terms, key=grevlex_key) for g in ideal.groebner_basis()]
+    caps = [next(lead[i] for lead in leads if sum(lead) == lead[i] > 0) for i in range(ring.nvars)]
+    box = [m for m in itertools.product(*map(range, caps)) if not any(monomial_divides(g, m) for g in leads)]
+    assert ideal.standard_monomials() == sorted(box, key=grevlex_key)
 
 
 def _random_ideal(rng, ring, count=2, max_deg=2):
