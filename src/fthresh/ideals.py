@@ -10,6 +10,15 @@ once, when an element enters the basis, and travels with it from `buchberger`
 to the `Ideal` handle (`_gb_leads`), which reduces and tests staircases from
 the stored leads. Each S-pair is ranked once, when it is created, and waits
 on a heap until it is the smallest pending pair.
+
+A normal form modulo a reduced basis is unique and linear, so a handle
+reduces each monomial once: `Ideal.normal_form(f)` is the sum of c * NF(x^m)
+over the terms of f, with NF(x^m) memoized per handle, keyed by exponent
+tuple. The basis never changes once computed, so the memo is never
+invalidated; it holds only monomials met while reducing, and a monomial that
+a monomial basis element divides maps at once to one shared empty result.
+Buchberger and `_reduce_basis` reduce against a reducer list that grows as
+they go, so they keep `_normal_form_terms`.
 """
 
 from __future__ import annotations
@@ -183,6 +192,19 @@ def _reduce_basis(basis, p, key):
 # -- ideal handles ----------------------------------------------------------
 
 
+_ZERO: dict = {}  # shared normal form of every monomial that a monomial basis element divides
+
+
+def _add_scaled(out, terms, c, p):
+    """out += c * terms over GF(p), in place, dropping the terms that cancel."""
+    for t, d in terms.items():
+        v = (out.get(t, 0) + c * d) % p
+        if v:
+            out[t] = v
+        else:
+            del out[t]
+
+
 @dataclass(frozen=True)
 class SocleBasis:
     """k-basis of (A : m)/A, each representative a normal form against A."""
@@ -214,6 +236,7 @@ class Ideal:
         self._gb = None
         self._gb_leads = None
         self._monomial_elements = None
+        self._nf_memo: dict = {}
         self._bracket_cache: dict = {}
         self._power_cache: dict = {1: self.generators}
         self._nilpotency = None
@@ -232,18 +255,58 @@ class Ideal:
         return self._gb
 
     def normal_form(self, f: Polynomial) -> Polynomial:
+        """Normal form of f modulo the reduced basis: the sum of c * NF(x^m) over the terms of f.
+
+        NF(x^m) is memoized on this handle (`_monomial_nf`), so a monomial met
+        again, in this call or a later one, costs a dict lookup.
+        """
         if not f.ring.same_ambient(self.ring):
             raise RingError("element from a different ambient ring")
+        p = self.ring.p
+        out: dict = {}
+        for m, c in f.terms.items():
+            _add_scaled(out, self._monomial_nf(m), c, p)
+        return Polynomial(self.ring, out)
+
+    def _monomial_nf(self, m):
+        """Memoized normal form of x^m, as a term dict that callers must not mutate.
+
+        An explicit stack replaces recursion, since reduction chains can be
+        thousands of steps long. A frame is expanded once into the tail of its
+        first dividing basis element (shifted, negated) and combined once all
+        of that tail's monomials, each smaller than it, are memoized.
+        """
+        memo = self._nf_memo
+        if m in memo:
+            return memo[m]
         self.groebner_basis()
-        nf = _normal_form_terms(f.terms, self._gb_leads, self.ring.p, grevlex_key)
-        return Polynomial(self.ring, nf)
+        p = self.ring.p
+        stack = [(m, None)]
+        while stack:
+            n, tail = stack.pop()
+            if n in memo:
+                continue
+            if tail is None:
+                if any(monomial_divides(g, n) for g in self._monomial_elements):
+                    memo[n] = _ZERO
+                    continue
+                reducer = next((r for r in self._gb_leads if monomial_divides(r[0], n)), None)
+                if reducer is None:
+                    memo[n] = {n: 1}
+                    continue
+                lead, g_terms = reducer
+                shift = monomial_div(n, lead)
+                tail = [(monomial_mul(gm, shift), -gc % p) for gm, gc in g_terms.items() if gm != lead]
+                stack.append((n, tail))
+                stack.extend((k, None) for k, _ in tail if k not in memo)
+                continue
+            out = {}
+            for k, c in tail:
+                _add_scaled(out, memo[k], c, p)
+            memo[n] = out
+        return memo[m]
 
     def contains_poly(self, f: Polynomial) -> bool:
-        if len(f.terms) == 1:
-            self.groebner_basis()
-            m = next(iter(f.terms))
-            if any(monomial_divides(g, m) for g in self._monomial_elements):
-                return True
         return self.normal_form(f).is_zero()
 
     def contains(self, inner) -> bool:
@@ -424,9 +487,8 @@ class Ideal:
     def candidate_monomials(self, degree: int):
         """Monomials of this degree that no monomial basis element divides, in monomials_of_degree order.
 
-        Every other monomial of this degree lies in the ideal. contains_poly's
-        monomial-element shortcut never fires on these, so testing one costs
-        that scan plus a normal form; the scan is small beside the normal form.
+        Every other monomial of this degree lies in the ideal, so a sweep that
+        tests only these skips that part of the ideal without reducing it.
         """
         self.groebner_basis()
         return monomials_outside(self._monomial_elements, self.ring.nvars, degree)
@@ -436,15 +498,22 @@ class Ideal:
         if not self.is_m_primary():
             raise RingError("socle requires an m-primary ideal")
         std = self.standard_monomials()
-        xs = [(v, self.ring.variable(v)) for v in self.ring.variables]
-        # the row of m holds the normal forms of x_v * m, keyed by (v, monomial)
+        n = self.ring.nvars
+        units = [tuple(int(i == v) for i in range(n)) for v in range(n)]
+
+        def refuse_past_bound(nkeys):  # kernel reduces one matrix row per key
+            if nkeys * len(std) > _MAX_MATRIX_CELLS:
+                raise RingError(f"a socle matrix of {nkeys} x {len(std)} cells exceeds {_MAX_MATRIX_CELLS}")
+
+        # the row of s holds the normal forms of x_v * s, keyed by (v, monomial); a standard
+        # x_v * s is its own normal form, so the staircase alone bounds the keys from below
+        standard = set(std)
+        refuse_past_bound(sum(monomial_mul(s, u) in standard for s in std for u in units))
         rows = [
-            {(v, n): c for v, x in xs for n, c in self.normal_form(self.ring.monomial(m) * x).terms.items()}
-            for m in std
+            {(v, t): c for v, u in enumerate(units) for t, c in self._monomial_nf(monomial_mul(s, u)).items()}
+            for s in std
         ]
-        nkeys = len({key for row in rows for key in row})  # kernel reduces one matrix row per key
-        if nkeys * len(rows) > _MAX_MATRIX_CELLS:
-            raise RingError(f"a socle matrix of {nkeys} x {len(rows)} cells exceeds {_MAX_MATRIX_CELLS}")
+        refuse_past_bound(len({key for row in rows for key in row}))
         kernel = linalg.kernel(rows, self.ring.p)
         reps = [Polynomial(self.ring, {m: c for m, c in zip(std, x) if c}) for x in kernel]
         reps.sort(key=lambda f: grevlex_key(_leading(f.terms, grevlex_key)))

@@ -8,6 +8,7 @@ from fthresh import Ideal, QuotientRing, RingError, ring_dimension
 from fthresh import ideals
 from fthresh.ideals import buchberger
 from fthresh.ring import elimination_key, grevlex_key, monomial_divides
+from fthresh.verifier import check_theorem_A_randomized
 from oracles import macaulay_member
 
 
@@ -241,3 +242,50 @@ def test_zero_and_unit_ideals(regular2):
     unit = Ideal(regular2, ["1"])
     assert unit.is_unit()
     assert gb_strings(unit) == ["1"]
+
+
+@pytest.mark.parametrize("m_primary", [False, True], ids=["any", "m-primary"])
+@pytest.mark.parametrize("relations", [(), ("x*y",), ("x^2 - y^3",)], ids=["polynomial", "node", "cusp"])
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("seed", range(3))
+def test_memoized_normal_form_matches_direct_reduction(seed, p, relations, m_primary):
+    # reference: one reduction of the whole polynomial against a basis built apart from the handle
+    rng = random.Random(1000 * p + 10 * seed + m_primary)
+    ring = QuotientRing(p, ["x", "y", "z"], relations)
+    ideal = _random_ideal(rng, ring, count=3)
+    if m_primary:
+        ideal = ideal + Ideal(ring, [f"{v}^{rng.randint(2, 5)}" for v in ring.variables])
+    basis = buchberger([g.terms for g in ideal.generators + ring.relations], p)
+    probes = list(_random_ideal(rng, ring, count=12, max_deg=3).generators)
+    probes += [ring.monomial(m) for f in probes for m in f.terms]
+    expected = [ideals._normal_form_terms(f.terms, basis, p, grevlex_key) for f in probes]
+    warm = Ideal(ring, ideal.generators)
+    for i in rng.sample(range(len(probes)), len(probes)):
+        assert warm.normal_form(probes[i]).terms == expected[i]
+    for f, want in zip(probes, expected):
+        assert warm.normal_form(f).terms == want
+        assert Ideal(ring, ideal.generators).normal_form(f).terms == want
+    # a monomial that a monomial basis element divides is never reduced by another element
+    monomial_elements = [lead for lead, g in basis if len(g) == 1]
+    for m, nf in warm._nf_memo.items():
+        assert (nf is ideals._ZERO) == any(monomial_divides(g, m) for g in monomial_elements)
+
+
+def test_normal_form_follows_a_deep_reduction_chain(regular2):
+    # x^2000 -> x^1999*y -> ... -> x*y^1999 is 1,999 steps, past the default recursion limit
+    ideal = Ideal(regular2, ["x^2 + x*y"])
+    assert str(ideal.normal_form(regular2.parse("x^2000"))) == "x*y^1999"
+
+
+def test_theorem_A_trial_reduces_each_monomial_once(monkeypatch):
+    # reducing whole polynomials took 144,656 reduction steps on this trial; the memo takes about 7,000
+    steps = [0]
+    monomial_div = ideals.monomial_div
+
+    def counted(b, a):
+        steps[0] += 1
+        return monomial_div(b, a)
+
+    monkeypatch.setattr(ideals, "monomial_div", counted)
+    assert check_theorem_A_randomized(3, 1, 2, 20).verdict == "pass"
+    assert steps[0] < 10000
