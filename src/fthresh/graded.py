@@ -1,14 +1,14 @@
 """m-adic order, initial forms, associated graded presentations, Hilbert data.
 
-The associated graded ring of R = S/L is presented as S/in(L). For principal
-or homogeneous L the initial ideal is exact. Otherwise its pieces in(I)_d,
-d <= D, come from one Macaulay matrix: in(I)_d depends only on the image of I
-in S/m^(d+1), which the products x^m * g with deg x^m <= D - ord(g), cut
-above degree D, span. Every piece through D is exact; the exact flag records
-whether those pieces determine the whole ideal. They do for an m-primary
-ideal once D reaches its nilpotency degree; a cone in(L) built this way stays
-flagged truncated, since its generators above D are not computed. Hilbert data
-read the same matrix: h_d is the number of degree-d monomials minus dim in(L)_d.
+The associated graded ring of R = S/L is presented as S/in(L), exact for
+principal or homogeneous L. The rest reads Macaulay matrices: the image in
+S/m^(D+1) of an ideal I of S is spanned by the products x^m * g, deg x^m <=
+D - ord(g), of its generators, cut above degree D. One matrix gives every
+piece in(I)_d, d <= D, exactly; the exact flag records whether they determine
+I, as they do for an m-primary ideal once D reaches its nilpotency degree but
+never for a cone in(L), whose generators above D are not computed. From the
+relations' rows, h_d is the number of degree-d monomials minus dim in(L)_d,
+and ord(f) is the first D at which f survives reduction; what survives is in(f).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 
 from . import linalg
-from .ideals import Ideal, zero_ideal
+from .ideals import Ideal, _add_scaled, zero_ideal
 from .linalg import _MAX_MATRIX_CELLS
 from .ring import (
     Polynomial,
@@ -91,50 +91,44 @@ def default_truncation(polys) -> int:
 # -- order and initial forms --------------------------------------------------
 
 
-def ord_of(f: Polynomial, ring: QuotientRing, cutoff: int):
-    """Largest r <= cutoff with f in m^r + L; AtLeast(cutoff) past the cutoff.
+def _order_and_form(f: Polynomial, ring: QuotientRing, cutoff: int):
+    """(ord f, in f), or (AtLeast(cutoff), None) when f lies in m^cutoff + L.
 
-    Elements of L (zero cosets) report AtLeast for every cutoff.
+    f is in m^(D+1) + L iff f cut above D reduces to zero against the RREF of the relations'
+    product rows cut there, one pass over its pivots. Columns ascend by (degree, exponents), so
+    the first D leaving a remainder is ord(f), and that remainder, of degree D, is in(f).
     """
     if cutoff < 1:
         raise RingError("cutoff must be at least 1")
     f = transfer(f, ring)
     if f.is_zero():
-        return AtLeast(cutoff)
-    if not ring.relations:
-        d = f.min_degree()
-        return AtLeast(cutoff) if d >= cutoff else d
-    for k in range(1, cutoff + 1):
-        if not ring.power_of_maximal_ideal(k).contains_poly(f):
-            return k - 1
-    return AtLeast(cutoff)
+        return AtLeast(cutoff), None
+    for D in range(f.min_degree(), cutoff):
+        rows = [_cut(row, D) for row in _product_rows(ring.relations, ring.nvars, D)]
+        columns = sorted({m for row in rows for m in row}, key=lambda m: (sum(m), m))
+        rest = _cut(f.terms, D)
+        for lead, row in linalg.echelon(rows, columns, ring.p):
+            if lead in rest:
+                _add_scaled(rest, row, -rest[lead], ring.p)
+        if rest:
+            return D, ring.from_terms(rest)
+    return AtLeast(cutoff), None
+
+
+def ord_of(f: Polynomial, ring: QuotientRing, cutoff: int):
+    """Largest r <= cutoff with f in m^r + L; AtLeast(cutoff) past it, as for every element of L."""
+    return _order_and_form(f, ring, cutoff)[0]
 
 
 def initial_form(f: Polynomial, ring: QuotientRing, cutoff: int) -> Polynomial:
     """Homogeneous degree-r form representing f modulo m^{r+1} + L, r = ord(f).
 
-    Computed by solving for a degree-r monomial combination congruent to f;
-    any two solutions differ inside m^{r+1} + L, and the reduced-echelon
-    particular solution keeps the output deterministic.
+    It avoids the lex-smallest monomial of each reduced echelon element of in(L)_r.
     """
-    r = ord_of(f, ring, cutoff)
-    if isinstance(r, AtLeast):
+    r, form = _order_and_form(f, ring, cutoff)
+    if form is None:
         raise TruncationError(f"coset vanishes up to the cutoff (order at least {r.bound})")
-    f = transfer(f, ring)
-    if not ring.relations:
-        return f.homogeneous_component(r)
-    modulus = ring.power_of_maximal_ideal(r + 1)
-    target = modulus.normal_form(f)
-    degree_r = [ring.monomial(m) for m in monomials_of_degree(ring.nvars, r)]
-    images = [modulus.normal_form(g).terms for g in degree_r]
-    solution = linalg.solve(images, target.terms, ring.p)
-    if solution is None:
-        raise RingError("initial form solve failed; order computation is inconsistent")
-    terms = {}
-    for coeff, mono in zip(solution, degree_r):
-        if coeff:
-            terms[next(iter(mono.terms))] = coeff
-    return ring.from_terms(terms)
+    return form
 
 
 # -- Macaulay pieces -------------------------------------------------------------
@@ -162,6 +156,10 @@ def _product_rows(gen_polys, nvars: int, D: int):
     )
 
 
+def _cut(terms: dict, D: int) -> dict:
+    return {m: c for m, c in terms.items() if sum(m) <= D}
+
+
 def _pieces(ring: QuotientRing, gen_polys, D: int):
     """Pieces in(I)_d, d <= D, of the ideal I of S the polynomials generate, as term dicts.
 
@@ -172,7 +170,7 @@ def _pieces(ring: QuotientRing, gen_polys, D: int):
     order, are the reduced echelon basis of in(I)_d.
     """
     # rows first: their cell bound fires before the column list is built
-    rows = ({m: c for m, c in row.items() if sum(m) <= D} for row in _product_rows(gen_polys, ring.nvars, D))
+    rows = (_cut(row, D) for row in _product_rows(gen_polys, ring.nvars, D))
     columns = sorted(monomials_up_to_degree(ring.nvars, D), key=grevlex_key)
     pieces = {d: [] for d in range(D + 1)}
     for lead, row in linalg.echelon(rows, columns, ring.p):
@@ -307,7 +305,7 @@ def verify_gr_claim(claimed, ring: QuotientRing, D: int | None = None) -> GrClai
 def _realize_initial_form(ring, rows, target: Polynomial):
     """Element of the span of the product rows equal to target in degrees <= deg(target)."""
     r = target.min_degree()
-    cut = [{m: c for m, c in row.items() if sum(m) <= r} for row in rows]
+    cut = [_cut(row, r) for row in rows]
     solution = linalg.solve(cut, target.terms, ring.p)
     if solution is None:
         return None

@@ -122,6 +122,21 @@ def hilbert_monomial_oracle(generator_exps, nvars, degree_bound):
     return values
 
 
+def _cut_products(relation_terms, nvars, p, d, index):
+    """Vectors over index of the products x^m * g with deg x^m + ord(g) <= d, cut above degree d."""
+    vectors = []
+    for g in relation_terms:
+        order = min(sum(m) for m in g)
+        for mult in monomials_upto(nvars, d - order):
+            row = {}
+            for gm, c in g.items():
+                key = tuple(a + b for a, b in zip(gm, mult))
+                if sum(key) <= d:
+                    row[key] = c % p
+            vectors.append(poly_to_vector(row, index, p))
+    return vectors
+
+
 def hilbert_oracle(relation_terms, nvars, p, D):
     """h_d = dim (m^d + L)/(m^(d+1) + L), d <= D, from dense spans of L in S/m^(d+1).
 
@@ -135,21 +150,45 @@ def hilbert_oracle(relation_terms, nvars, p, D):
     for d in range(D + 1):
         columns = monomials_upto(nvars, d)
         index = {m: j for j, m in enumerate(columns)}
-        rows = []
-        for g in relation_terms:
-            order = min(sum(m) for m in g)
-            for mult in monomials_upto(nvars, d - order):
-                row = {}
-                for gm, c in g.items():
-                    key = tuple(a + b for a, b in zip(gm, mult))
-                    if sum(key) <= d:
-                        row[key] = c % p
-                rows.append(poly_to_vector(row, index, p))
+        rows = _cut_products(relation_terms, nvars, p, d, index)
         rank = len(rref_mod_p(np.array(rows, dtype=np.int64), p)[1]) if rows else 0
         degree_d = sum(1 for m in columns if sum(m) == d)
         values.append(degree_d - (rank - previous))
         previous = rank
     return values
+
+
+def order_oracle(f_terms, relation_terms, nvars, p, cutoff):
+    """(ord f, in f as {monomial: coefficient}) in S/L, or (None, None) when f is in m^cutoff + L.
+
+    For each d < cutoff, one dense matrix has a row per monomial of degree
+    <= d and, as columns in this order: the products x^m * g with
+    deg x^m + ord(g) <= d cut above degree d, the degree-d monomials in
+    descending exponent order, and f cut above degree d. Its pivot columns
+    are the greedy choice of independent columns, so the pivot monomials are
+    the earliest ones independent modulo L + m^(d+1), and f's column holds
+    its coefficients on them. The first d with a nonzero coefficient is the
+    order, and that combination is the initial form.
+    """
+    for d in range(cutoff):
+        coordinates = monomials_upto(nvars, d)
+        index = {m: j for j, m in enumerate(coordinates)}
+        columns = _cut_products(relation_terms, nvars, p, d, index)
+        degree_d = sorted((m for m in coordinates if sum(m) == d), reverse=True)
+        columns += [poly_to_vector({m: 1}, index, p) for m in degree_d]
+        columns.append(poly_to_vector({m: c for m, c in f_terms.items() if sum(m) <= d}, index, p))
+        reduced, pivots = rref_mod_p(np.array(columns, dtype=np.int64).T, p)
+        f_column = len(columns) - 1
+        assert f_column not in pivots, "f is not in m^d + L: a lower degree was skipped"
+        offset = f_column - len(degree_d)
+        form = {
+            degree_d[c - offset]: int(reduced[k, f_column])
+            for k, c in enumerate(pivots)
+            if c >= offset and reduced[k, f_column]
+        }
+        if form:
+            return d, form
+    return None, None
 
 
 def simplest_rational_oracle(lo, hi, max_denominator):

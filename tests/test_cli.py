@@ -351,10 +351,19 @@ def test_superficial_negative_degree_is_a_usage_error(capsys):
     assert "c_max must be at least 0" in capsys.readouterr().err
 
 
+def test_ord_past_the_cell_bound_exits_2(capsys):
+    # a relation lies in m^k + L for every k; the relations' Macaulay matrix
+    # through degree 11 is refused before the cutoff 30 is reached
+    argv = ["ord", "--session", session_path("ex-determinantal.json"), "--x", "x11*x23-x13*x21",
+            "--degree", "30"]
+    assert main(argv) == 2
+    assert "exceeds the bound of 134217728 cells" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv,message",
     [
-        (["check", "--name", "monotonicity", "--trials", "-2"], "trials must be at least 0"),
+        (["check", "--name", "monotonicity", "--trials", "-2"],"trials must be at least 0"),
         (["check", "--name", "monotonicity", "--e-max", "-1"], "e_max at least 1"),
         (["check", "--name", "theoremA", "--trials", "-1"], "trials must be at least 0"),
         (["check", "--name", "colon-lemma", "--x", "x", "--degree", "-3"], "n_max must be at least 0"),

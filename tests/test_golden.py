@@ -217,6 +217,20 @@ GOLDEN = [
      (0, "444cbbe0c247d6ade87b29f7cf665985979d017fcf43ff872fe6d6d1af63f589")),
     ("ex-regular", "check --name lemma22 --a x,y --b m",
      (0, "97e282aaf11a5b94874212f26b70a31a0959ef449f717a46654b1015b8b881df")),
+    # orders and initial forms modulo relations, recorded while they still
+    # came from Groebner bases of m^k + L; the first two pin the pivot that an
+    # initial form drops from each in(L) element: the lex-smallest monomial
+    # (x11*x22 and x11*x23, not x12*x21 and x13*x21)
+    ("ex-determinantal", "initial --x x12*x21",
+     (0, "40deebd96dfa462e7565ec53ce4a90024a462c1c6a521de1629439edd2da14be")),
+    ("ex-determinantal", "initial --x x13*x21",
+     (0, "816c7cbacfdad5a661914351f276cce8da09f25f7a5254b0f69b965f4b906709")),
+    ("ex-determinantal", "ord --x x12*x21",
+     (0, "7e569daabcb65a9c1974bfde400172257d62951da60c595e8fd6f07a3548aede")),
+    ("ex-cusp", "ord --x x^2",
+     (0, "465afa74c6f85dd44c2ef2882ce81dcbfc37ee6fa83872c611764a2ba4afac7a")),
+    ("ex-fermat-cubic", "initial --x z^3",
+     (0, "ffa6039112c90c296534ea7b968fd126c2dd620ac157412baf63ff1ac2b34888")),
 ]
 
 

@@ -20,7 +20,7 @@ from fthresh.graded import TruncationError
 from fthresh.ring import monomials_of_degree, transfer
 from fthresh.verifier import random_hypersurface, random_m_primary
 from conftest import session_path
-from oracles import hilbert_monomial_oracle, hilbert_oracle
+from oracles import hilbert_monomial_oracle, hilbert_oracle, order_oracle
 
 
 def test_ord_examples(regular2, blowup):
@@ -137,6 +137,83 @@ def test_hilbert_data_reads_the_one_matrix(monkeypatch):
     with pytest.raises(TruncationError, match="116280 x 74613 cells through degree 16"):
         hilbert_data(ring, 16)
     assert time.perf_counter() - start < 1.0
+
+
+def test_ord_and_initial_form_read_the_relations_matrix(monkeypatch):
+    # no basis of m^k + L may be built; the pivot dropped from each in(L)_2
+    # element is its lex-smallest monomial, so x12*x21 is written as x11*x22
+    ring = Session.load(session_path("ex-determinantal.json")).ring
+
+    def no_power(self, k):
+        raise AssertionError("a power of the maximal ideal was built")
+
+    monkeypatch.setattr(QuotientRing, "power_of_maximal_ideal", no_power)
+    assert ord_of(ring.parse("x12*x21"), ring, 8) == 2
+    assert str(initial_form(ring.parse("x12*x21"), ring, 8)) == "x11*x22"
+    assert str(initial_form(ring.parse("x13*x21 + x11^3"), ring, 8)) == "x11*x23"
+    assert ord_of(ring.parse("x11^9"), ring, 12) == 9
+    assert ord_of(ring.parse("x11*x23 - x13*x21"), ring, 6) == AtLeast(6)
+    cusp = Session.load(session_path("ex-cusp.json")).ring
+    assert ord_of(cusp.parse("x^2"), cusp, 8) == 3
+    assert str(initial_form(cusp.parse("x^2 + y^4"), cusp, 8)) == "y^3"
+
+
+def test_ord_of_a_relation_past_the_cell_bound_is_refused():
+    ring = Session.load(session_path("ex-determinantal.json")).ring
+    start = time.perf_counter()
+    with pytest.raises(TruncationError, match="through degree 11 exceeds the bound"):
+        ord_of(ring.relations[1], ring, 30)
+    assert time.perf_counter() - start < 10.0
+
+
+def _random_graded_poly(rng, ring, low, high):
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        m = [0] * ring.nvars
+        for _ in range(rng.randint(low, high)):
+            m[rng.randrange(ring.nvars)] += 1
+        terms[tuple(m)] = rng.randint(1, ring.p - 1)
+    return ring.from_terms(terms)
+
+
+def _random_ring(rng):
+    p = rng.choice([2, 3, 5])
+    ambient = QuotientRing(p, ["x", "y", "z", "w"][: rng.randint(2, 4)])
+    count = rng.choice([0, 1, 2, 3, 3])
+    relations = [_random_graded_poly(rng, ambient, rng.choice([1, 2, 2]), 3) for _ in range(count)]
+    return QuotientRing(p, ambient.variables, [str(f) for f in relations])
+
+
+def test_ord_and_initial_form_match_the_dense_oracle_on_random_rings():
+    # some elements are moved by an element of L, or replaced by one, so that
+    # relations must be reduced away and orders run past the cutoff
+    seen = {"at_least": 0, "order": 0, "reduced_form": 0, "nonhomogeneous_relations": 0}
+    for seed in range(200):
+        rng = random.Random(900 + seed)
+        ring = _random_ring(rng)
+        f = _random_graded_poly(rng, ring, 1, 4)
+        if rng.random() < 0.3:
+            # every monomial of one degree: the whole of in(L)_d must be reduced away
+            d = rng.randint(1, 3)
+            f = f + ring.from_terms({m: rng.randint(1, ring.p - 1) for m in monomials_of_degree(ring.nvars, d)})
+        if ring.relations and rng.random() < 0.5:
+            shift = _random_graded_poly(rng, ring, 0, 1) * rng.choice(ring.relations)
+            f = rng.choice([f, ring.zero()]) + shift
+        cutoff = rng.randint(1, 6)
+        order, form = order_oracle(f.terms, [g.terms for g in ring.relations], ring.nvars, ring.p, cutoff)
+        if order is None:
+            assert ord_of(f, ring, cutoff) == AtLeast(cutoff), (seed, ring, f)
+            with pytest.raises(TruncationError):
+                initial_form(f, ring, cutoff)
+            seen["at_least"] += 1
+            continue
+        assert ord_of(f, ring, cutoff) == order, (seed, ring, f)
+        assert initial_form(f, ring, cutoff).terms == form, (seed, ring, f)
+        seen["order"] += 1
+        seen["reduced_form"] += form != f.homogeneous_component(order).terms
+        several = sum(not g.is_homogeneous() for g in ring.relations) > 1
+        seen["nonhomogeneous_relations"] += several and ring.nvars > 2
+    assert min(seen.values()) >= 10, seen
 
 
 def test_verify_gr_claim_blowup(blowup):
