@@ -256,18 +256,13 @@ def _cmd_initial(session, args):
 
 
 def _cmd_gr(session, args):
-    pres = gr_presentation(session.ring, _option(session, args.degree, "D"))
-    return 0, {
-        "method": pres.method,
-        "exact": pres.exact,
-        "truncation_degree": pres.truncation_degree,
-        "initial_relations": [str(g) for g in pres.initial_relations],
-    }
+    pres = gr_presentation(session.ring)
+    return 0, {"exact": True, "initial_relations": [str(g) for g in pres.initial_relations]}
 
 
 def _cmd_gr_ideal(session, args):
-    pres = gr_presentation(session.ring, _option(session, args.degree, "D"))
-    result = gr_of_ideal(session.ideal(args.a), pres)
+    pres = gr_presentation(session.ring)
+    result = gr_of_ideal(session.ideal(args.a), pres, _option(session, args.degree, "D"))
     return 0, {
         "exact": result.exact,
         "truncation_degree": result.truncation_degree,
@@ -317,20 +312,16 @@ def _cmd_threshold(session, args):
 
 
 def _cmd_verify_thmA(session, args):
-    report = verify_theorem_A(
-        session.ring, session.ideal(args.b or "m"), _e_max(session, args, 2),
-        _option(session, args.degree, "D"),
-    )
-    code = {"pass": 0, "fail": 1, "inconclusive": 3}[report.verdict]
+    report = verify_theorem_A(session.ring, session.ideal(args.b or "m"), _e_max(session, args, 2))
+    code = {"pass": 0, "fail": 1}[report.verdict]
     payload = {
         "verdict": report.verdict,
         "reason": report.reason,
         "nu_table": [list(row) for row in report.nu_table],
         "caveats": sorted(report.caveats),
+        "local": _ser_estimate(report.local_estimate),
+        "graded": _ser_estimate(report.graded_estimate),
     }
-    if report.local_estimate:
-        payload["local"] = _ser_estimate(report.local_estimate)
-        payload["graded"] = _ser_estimate(report.graded_estimate)
     if report.counterexample:
         payload["counterexample"] = report.counterexample
     return code, payload

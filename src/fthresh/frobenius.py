@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .graded import GradedPresentation, gr_of_ideal, gr_presentation, hilbert_data
+from .graded import GradedPresentation, gr_of_ideal, gr_presentation
 from .ideals import Ideal
 from .linalg import _MAX_MATRIX_CELLS
 from .ring import Polynomial, QuotientRing, RingError, grevlex_key
@@ -304,54 +304,33 @@ class TheoremAReport:
 
     verdict: str
     reason: str
-    local_estimate: ThresholdEstimate | None = None
-    graded_estimate: ThresholdEstimate | None = None
-    presentation: GradedPresentation | None = None
-    counterexample: dict | None = None
-    caveats: tuple = ()
+    local_estimate: ThresholdEstimate
+    graded_estimate: ThresholdEstimate
+    presentation: GradedPresentation
+    counterexample: dict | None
+    caveats: tuple
 
     @property
     def nu_table(self):
-        rows = []
-        if self.local_estimate and self.graded_estimate:
-            for loc, grd in zip(self.local_estimate.records, self.graded_estimate.records):
-                rows.append((loc.e, loc.q, loc.nu, grd.nu))
-        return rows
+        pairs = zip(self.local_estimate.records, self.graded_estimate.records)
+        return [(loc.e, loc.q, loc.nu, grd.nu) for loc, grd in pairs]
 
 
-def verify_theorem_A(
-    ring: QuotientRing,
-    b: Ideal,
-    e_max: int,
-    D: int | None = None,
-) -> TheoremAReport:
+def verify_theorem_A(ring: QuotientRing, b: Ideal, e_max: int) -> TheoremAReport:
     """Check nu^b_m(p^e) <= nu^I_n(p^e) for e <= e_max, I the initial ideal of b."""
     if not b.is_m_primary():
         raise RingError("b must be m-primary")
-    caveats: list = []
-    presentation = gr_presentation(ring, D)
-    if not presentation.exact:
-        D_check = presentation.truncation_degree
-        if hilbert_data(ring, D_check) != hilbert_data(presentation, D_check):
-            return TheoremAReport(
-                "inconclusive",
-                "truncated graded presentation fails the Hilbert consistency check",
-                presentation=presentation,
-            )
-        caveats.append("truncated-graded-presentation")
-    # exact: the pieces through the nilpotency degree determine in(b + L)
+    presentation = gr_presentation(ring)
+    # the pieces through the nilpotency degree determine in(b + L)
     graded_b = gr_of_ideal(b, presentation, b.nilpotency_degree())
-    m = ring.maximal_ideal()
-    n_ideal = presentation.graded_ring.maximal_ideal()
-    local = threshold_estimate(m, b, e_max)
-    graded = threshold_estimate(n_ideal, graded_b.ideal, e_max)
-    caveats.extend(local.caveats)
-    caveats.extend(graded.caveats)
+    local = threshold_estimate(ring.maximal_ideal(), b, e_max)
+    graded = threshold_estimate(presentation.graded_ring.maximal_ideal(), graded_b.ideal, e_max)
+    caveats = tuple(local.caveats) + tuple(graded.caveats)
     for loc, grd in zip(local.records, graded.records):
         if loc.nu > grd.nu:
             return TheoremAReport(
                 "fail",
-                "nu^b_m exceeded nu^I_n; implementation bug or truncation failure",
+                "nu^b_m exceeded nu^I_n; implementation bug",
                 local,
                 graded,
                 presentation,
@@ -362,6 +341,6 @@ def verify_theorem_A(
                     "nu_graded": grd.nu,
                     "witness": str(loc.witness),
                 },
-                tuple(caveats),
+                caveats,
             )
-    return TheoremAReport("pass", "inequality holds at every computed level", local, graded, presentation, None, tuple(caveats))
+    return TheoremAReport("pass", "inequality holds at every computed level", local, graded, presentation, None, caveats)

@@ -1,14 +1,16 @@
 """m-adic order, initial forms, associated graded presentations, Hilbert data.
 
-The associated graded ring of R = S/L is presented as S/in(L), exact for
-principal or homogeneous L. The rest reads Macaulay matrices: the image in
-S/m^(D+1) of an ideal I of S is spanned by the products x^m * g, deg x^m <=
-D - ord(g), of its generators, cut above degree D. One matrix gives every
-piece in(I)_d, d <= D, exactly; the exact flag records whether they determine
-I, as they do for an m-primary ideal once D reaches its nilpotency degree but
-never for a cone in(L), whose generators above D are not computed. From the
-relations' rows, h_d is the number of degree-d monomials minus dim in(L)_d,
-and ord(f) is the first D at which f survives reduction; what survives is in(f).
+The associated graded ring of R = S/L is S/in(L), computed exactly by the
+deformation to the normal cone: each relation g becomes g* = sum_d g_d *
+t^(d - ord g), the t-saturation of (g*) is found by eliminating s from
+(g*, 1 - s*t), and setting t = 0 in its generators gives generators of in(L).
+The rest reads Macaulay matrices: the image in S/m^(D+1) of an ideal I of S
+is spanned by the products x^m * g, deg x^m <= D - ord(g), of its generators,
+cut above degree D. One matrix gives every piece in(I)_d, d <= D, exactly,
+and these determine an m-primary I once D reaches its nilpotency degree. From
+the relations' rows, h_d is the number of degree-d monomials minus
+dim in(L)_d, and ord(f) is the first D at which f survives reduction; what
+survives is in(f).
 """
 
 from __future__ import annotations
@@ -17,12 +19,13 @@ import math
 from dataclasses import dataclass, field
 
 from . import linalg
-from .ideals import Ideal, _add_scaled, zero_ideal
+from .ideals import Ideal, _add_scaled, buchberger, zero_ideal
 from .linalg import _MAX_MATRIX_CELLS
 from .ring import (
     Polynomial,
     QuotientRing,
     RingError,
+    elimination_key,
     grevlex_key,
     monomial_mul,
     monomials_of_degree,
@@ -51,13 +54,10 @@ class HilbertData:
 
 @dataclass
 class GradedPresentation:
-    """Truncated presentation of the associated graded ring as S/in(L)."""
+    """Presentation of the associated graded ring as S/in(L)."""
 
     ring: QuotientRing
     graded_ring: QuotientRing
-    truncation_degree: int
-    exact: bool
-    method: str
 
     @property
     def initial_relations(self):
@@ -182,27 +182,23 @@ def _pieces(ring: QuotientRing, gen_polys, D: int):
 # -- graded presentations --------------------------------------------------------
 
 
-def gr_presentation(ring: QuotientRing, D: int | None = None) -> GradedPresentation:
-    """Present gr_m(R) as S/in(L), exactly when possible, truncated otherwise."""
-    if D is None:
-        D = default_truncation(ring.relations)
-    if not ring.relations:
-        graded = QuotientRing(ring.p, ring.variables)
-        return GradedPresentation(ring, graded, D, True, "zero")
-    basis = zero_ideal(ring).groebner_basis()
-    if len(basis) == 1:
-        lowest = basis[0].homogeneous_component(basis[0].min_degree())
-        graded = QuotientRing(ring.p, ring.variables, [lowest])
-        return GradedPresentation(ring, graded, D, True, "principal")
-    if all(g.is_homogeneous() for g in basis):
-        graded = QuotientRing(ring.p, ring.variables, list(basis))
-        return GradedPresentation(ring, graded, D, True, "homogeneous")
-    # generators of in(L) above D are not computed, so the cone stays truncated
-    pieces = _pieces(ring, list(basis), D)
-    ambient = QuotientRing(ring.p, ring.variables)
-    gens = [ambient.from_terms(t) for piece in pieces.values() for t in piece]
-    graded = QuotientRing(ring.p, ring.variables, gens)
-    return GradedPresentation(ring, graded, D, False, "macaulay")
+def gr_presentation(ring: QuotientRing) -> GradedPresentation:
+    """Present gr_m(R) as S/in(L), exactly, by t-saturation.
+
+    On exponents (s, x, t), the s-free elements of the basis of (g*, 1 - s*t) under the
+    elimination order generate (g*) : t^oo, whose elements at t = 0 are the initial forms of L.
+    """
+    n = ring.nvars
+    starred = [
+        {(0,) + m + (sum(m) - g.min_degree(),): c for m, c in g.terms.items()} for g in ring.relations
+    ]
+    inverse = {(0,) * (n + 2): 1, (1,) + (0,) * n + (1,): ring.p - 1}
+    basis = buchberger(starred + [inverse], ring.p, key=elimination_key)
+    at_zero = (
+        {m[1:-1]: c for m, c in terms.items() if m[-1] == 0} for lead, terms in basis if lead[0] == 0
+    )
+    graded = QuotientRing(ring.p, ring.variables, [ring.from_terms(t) for t in at_zero if t])
+    return GradedPresentation(ring, graded)
 
 
 def gr_of_ideal(a: Ideal, presentation: GradedPresentation, D: int | None = None) -> GradedIdeal:
@@ -217,7 +213,7 @@ def gr_of_ideal(a: Ideal, presentation: GradedPresentation, D: int | None = None
     if not a.is_m_primary():
         raise RingError("initial ideals are computed for m-primary ideals only")
     if D is None:
-        D = presentation.truncation_degree
+        D = default_truncation(ring.relations)
     graded = presentation.graded_ring
     rel_basis = zero_ideal(ring).groebner_basis()
     if all(g.is_homogeneous() for g in rel_basis) and all(
@@ -244,19 +240,15 @@ def gr_of_ideal(a: Ideal, presentation: GradedPresentation, D: int | None = None
 # -- Hilbert data ------------------------------------------------------------------
 
 
-def hilbert_data(obj, D: int) -> HilbertData:
+def hilbert_data(ring: QuotientRing, D: int) -> HilbertData:
     """Filtration dimensions h_i = dim (m^i+L)/(m^{i+1}+L) through degree D.
 
-    A ring's h_i is the number of degree-i monomials minus dim in(L)_i, from the relations' one
-    Macaulay matrix; a presentation S/in(L) counts its Groebner staircase, so the two check each other.
+    h_i is the number of degree-i monomials minus dim in(L)_i, from the relations' one Macaulay matrix.
     """
     if D < 0:
         raise RingError("D must be nonnegative")
-    if isinstance(obj, GradedPresentation):
-        staircase = zero_ideal(obj.graded_ring)
-        return HilbertData([len(staircase.standard_monomials_of_degree(d)) for d in range(D + 1)])
-    pieces = _pieces(obj, list(obj.relations), D)
-    return HilbertData([math.comb(d + obj.nvars - 1, d) - len(pieces[d]) for d in range(D + 1)])
+    pieces = _pieces(ring, list(ring.relations), D)
+    return HilbertData([math.comb(d + ring.nvars - 1, d) - len(pieces[d]) for d in range(D + 1)])
 
 
 # -- claim verification ---------------------------------------------------------------

@@ -398,9 +398,11 @@ class QuotientRing:
 
     @property
     def dimension(self) -> int:
+        """Krull dimension of the local ring at the origin, read on its tangent cone."""
+        from .graded import gr_presentation
         from .ideals import ring_dimension
 
-        return self.cached("dimension", lambda: ring_dimension(self))
+        return self.cached("dimension", lambda: ring_dimension(gr_presentation(self).graded_ring))
 
     def __repr__(self):
         if self.relations:

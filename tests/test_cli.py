@@ -1,5 +1,6 @@
 import json
 import os
+import time
 
 import pytest
 
@@ -298,15 +299,20 @@ def test_colon_lemma_on_the_determinantal_fixture_passes():
 
 
 def test_colon_lemma_past_the_matrix_bound_is_inconclusive():
-    # n_max 14 needs the cone through degree 16: 194113 x 74613 cells, which
-    # the check reports instead of allocating
+    # n_max 14 reads degrees through 16, where a Macaulay matrix of the cone
+    # would have 194113 x 74613 cells; the exact cone needs none, and
+    # in(x11) kills a degree-6 class of it
+    start = time.perf_counter()
     code, report = run_report(
         ["check", "--session", session_path("ex-determinantal.json"), "--name", "colon-lemma",
          "--x", "x11", "--degree", "14"]
     )
+    assert time.perf_counter() - start < 5.0
     assert code == 3
     assert report["results"]["verdict"] == "inconclusive"
-    assert "194113 x 74613" in report["results"]["details"]["reason"]
+    assert report["results"]["details"]["reason"] == (
+        "in(x) = x11 is a zerodivisor on the graded presentation"
+    )
 
 
 @pytest.mark.parametrize(

@@ -13,7 +13,11 @@ one containment instead of comparing two Groebner bases. Ten were
 re-recorded when one exact Macaulay matrix replaced the stabilization loop:
 four initial ideals became exact, two theorem A reports lost their
 truncated-initial-ideal caveat, and four verify-gr reasons no longer name a
-product degree. A change that alters one of them changes a reported answer.
+product degree. The six `gr` ones were re-recorded when one t-saturation
+replaced the four ways of building the cone: the reports dropped their
+`method` and `truncation_degree` fields, the five cones that were already exact
+are otherwise unchanged, and the ex-determinantal cone became exact, with its
+degree-7 generators. A change that alters one of them changes a reported answer.
 Arguments are split on spaces, so generator lists are written without them.
 """
 
@@ -38,7 +42,7 @@ GOLDEN = [
     ("ex-blowup", "socle --a m",
      (0, "72dd00e5c050335b4503dab79b01bd6a4f8a780a86dca87e18fd6b65c367a34f")),
     ("ex-blowup", "gr",
-     (0, "cd827eac38e21cfe135d3f54d06d1d031db7b23b8d51d5a22eb3542dfa9059da")),
+     (0, "0adbb3a50aa610f9174ec56ded570542081d298c31e2ea3afa8a2431fb31f592")),
     ("ex-blowup", "verify-gr --a b",
      (1, "54fef45dbfe29c998d88dab13451742c61f5b08eda9fecd1338296ef14e34724")),
     ("ex-blowup", "verify-thmA",
@@ -54,7 +58,7 @@ GOLDEN = [
     ("ex-cusp", "socle --a J",
      (0, "99a6559ce73c56102f7c82a175cc3a1d86e100a3727b828f8439a82bb8ec3ec7")),
     ("ex-cusp", "gr",
-     (0, "efdcaaa23db99301de557c0ed2e7152c0bec57fd047d3f8b94773322049f61c7")),
+     (0, "81529c8035f0e729b9e3664e23287a40fb887765bd777bc9000d36e62d267735")),
     ("ex-cusp", "verify-gr --a J",
      (1, "673a87d4d808107836119c191c3431139074f65ea96c2ad3bde0a9fcdfd49d4e")),
     ("ex-cusp", "verify-thmA",
@@ -70,7 +74,7 @@ GOLDEN = [
     ("ex-fermat-cubic", "socle --a J",
      (0, "75a73b7c86b431fab923e3c7b3f6a9737176e573647674bc99b4a7dc29e1d37a")),
     ("ex-fermat-cubic", "gr",
-     (0, "d5feb11bef34d92447d6d077957fe0f6aa55ee317fd74bb349bf31203e74fb01")),
+     (0, "31e57608401631611df2d6be1716c5b0490a770d72a72a1346aab836ab8a88ed")),
     ("ex-fermat-cubic", "verify-gr --a J",
      (1, "54fef45dbfe29c998d88dab13451742c61f5b08eda9fecd1338296ef14e34724")),
     ("ex-fermat-cubic", "verify-thmA",
@@ -86,7 +90,7 @@ GOLDEN = [
     ("ex-node4", "socle --a m",
      (0, "72dd00e5c050335b4503dab79b01bd6a4f8a780a86dca87e18fd6b65c367a34f")),
     ("ex-node4", "gr",
-     (0, "cd827eac38e21cfe135d3f54d06d1d031db7b23b8d51d5a22eb3542dfa9059da")),
+     (0, "0adbb3a50aa610f9174ec56ded570542081d298c31e2ea3afa8a2431fb31f592")),
     ("ex-node4", "verify-gr --a n",
      (1, "54fef45dbfe29c998d88dab13451742c61f5b08eda9fecd1338296ef14e34724")),
     ("ex-node4", "verify-thmA",
@@ -102,7 +106,7 @@ GOLDEN = [
     ("ex-regular", "socle --a J",
      (0, "72dd00e5c050335b4503dab79b01bd6a4f8a780a86dca87e18fd6b65c367a34f")),
     ("ex-regular", "gr",
-     (0, "2c40456b3fcb81b680ab07cbd442739e923297e287f509febf35491a7536f0c0")),
+     (0, "d1d466eb7f68447a90f4fafe7f29635f4568577b4a4b291f23f052c4a7d31089")),
     ("ex-regular", "verify-gr --a m2",
      (1, "fbcceeae698cee42f80ee3668cee1e09d6d6bfe27ba169859afdc409bd7e0a17")),
     ("ex-regular", "verify-thmA",
@@ -149,10 +153,10 @@ GOLDEN = [
      (0, "7adc438aa8530812622adde6cbac6264bb9467af45716940fe6da4fbd6bcd85c")),
     ("ex-determinantal", "check --name reduction --a m",
      (0, "11af31cb0697fd9ceb78529b15562f1feca16a599ba1354b5ba94ee63c18ad83")),
-    # Macaulay pieces: a truncated cone, exact initial ideals and the
+    # the t-saturated cone, Macaulay pieces (exact initial ideals) and the
     # separating classes of lemma22
     ("ex-determinantal", "gr",
-     (0, "144578c03a0ca30f32be5c49a501b960ba0ff3c52d2228aa247fa808223dd689")),
+     (0, "fa5030c8a185875b613919d004e4c9619c80c7850f8b9c705085773a10638081")),
     ("ex-determinantal", "gr-ideal --a m",
      (0, "cef73719085d4fa37d558b52c1e50bdaea37d047957239626631110d6729a463")),
     ("ex-determinantal", "verify-gr --a minors",
@@ -245,5 +249,6 @@ def test_report_results_unchanged(fixture, command, expected):
             run(argv)
         return
     code, document = run(argv)
-    results = json.dumps(document["report"]["results"], sort_keys=True).encode("utf-8")
-    assert (code, hashlib.sha256(results).hexdigest()) == expected
+    results = json.dumps(document["report"]["results"], sort_keys=True)
+    digest = hashlib.sha256(results.encode("utf-8")).hexdigest()
+    assert (code, digest) == expected, results

@@ -12,11 +12,13 @@ from fthresh import (
     hilbert_data,
     initial_form,
     ord_of,
+    ring_dimension,
     verify_gr_claim,
 )
 from fthresh import graded
 from fthresh.cli import Session
 from fthresh.graded import TruncationError
+from fthresh.ideals import zero_ideal
 from fthresh.ring import monomials_of_degree, transfer
 from fthresh.verifier import random_hypersurface, random_m_primary
 from conftest import session_path
@@ -45,26 +47,23 @@ def test_initial_form_examples(regular2):
         initial_form(cusp_like.parse("x^2 + y^3"), cusp_like, 8)
 
 
-def test_gr_presentation_principal_shortcut(blowup):
-    pres = gr_presentation(blowup, 8)
-    assert pres.exact and pres.method == "principal"
+def test_gr_presentation_principal(blowup):
+    pres = gr_presentation(blowup)
     assert [str(g) for g in pres.initial_relations] == ["x*y"]
-    other = gr_presentation(QuotientRing(2, ["x", "y"], ["x^2 - y^3"]), 8)
-    assert other.exact
+    other = gr_presentation(QuotientRing(2, ["x", "y"], ["x^2 - y^3"]))
     assert [str(g) for g in other.initial_relations] == ["x^2"]
 
 
 def test_gr_presentation_regular_and_homogeneous(regular2, node4):
-    assert gr_presentation(regular2, 6).method == "zero"
-    pres = gr_presentation(node4, 6)
-    assert pres.exact
+    assert gr_presentation(regular2).initial_relations == ()
+    pres = gr_presentation(node4)
     assert [str(g) for g in pres.initial_relations] == ["x*y"]
-    multi = gr_presentation(QuotientRing(2, ["x", "y", "z", "w"], ["x*y", "z^2"]), 6)
-    assert multi.exact and multi.method == "homogeneous"
+    multi = gr_presentation(QuotientRing(2, ["x", "y", "z", "w"], ["x*y", "z^2"]))
+    assert [str(g) for g in multi.initial_relations] == ["z^2", "x*y"]
 
 
 def test_gr_of_ideal_examples(regular2):
-    pres = gr_presentation(regular2, 6)
+    pres = gr_presentation(regular2)
     m = regular2.maximal_ideal()
     grm = gr_of_ideal(m, pres, 6)
     assert grm.exact
@@ -77,7 +76,7 @@ def test_gr_of_ideal_examples(regular2):
 
 
 def test_gr_of_powers_of_maximal_ideal(blowup):
-    pres = gr_presentation(blowup, 8)
+    pres = gr_presentation(blowup)
     graded = pres.graded_ring
     for t in range(1, 5):
         lhs = gr_of_ideal(blowup.maximal_ideal().power(t), pres, 8)
@@ -86,7 +85,7 @@ def test_gr_of_powers_of_maximal_ideal(blowup):
 
 
 def test_gr_of_ideal_requires_m_primary(regular2):
-    pres = gr_presentation(regular2, 6)
+    pres = gr_presentation(regular2)
     with pytest.raises(Exception):
         gr_of_ideal(Ideal(regular2, ["x"]), pres, 6)
 
@@ -270,28 +269,27 @@ def test_ord_superadditive_on_sums(seed, node2):
     assert vals[2] >= min(vals[0], vals[1])
 
 
-def test_principal_shortcut_consistent_with_hilbert(blowup):
-    pres = gr_presentation(blowup, 5)
-    assert hilbert_data(blowup, 5).values == hilbert_data(pres, 5).values
+def test_principal_cone_consistent_with_hilbert(blowup):
+    pres = gr_presentation(blowup)
+    assert hilbert_data(blowup, 5).values == hilbert_data(pres.graded_ring, 5).values
 
 
 def test_quotient_compatibility_on_hypersurface(blowup):
     # in(z) is a nonzerodivisor on k[x,y,z,w]/(xy); killing z commutes with gr
-    pres = gr_presentation(blowup, 5)
+    pres = gr_presentation(blowup)
     collapsed = QuotientRing(2, ["x", "y", "z", "w"], ["x*y - z^2*w", "z"])
     graded_mod = QuotientRing(
         2, ["x", "y", "z", "w"], [str(g) for g in pres.initial_relations] + ["z"]
     )
     lhs = hilbert_data(collapsed, 5).values
-    rhs = hilbert_data(gr_presentation(graded_mod, 5), 5).values
+    rhs = hilbert_data(gr_presentation(graded_mod).graded_ring, 5).values
     assert lhs == rhs
 
 
-def test_truncated_presentation_matches_on_plane_curve():
+def test_cone_matches_hilbert_data_on_plane_curve():
     ring = QuotientRing(2, ["x", "y"], ["x^2 + y^3", "x*y^4"])
-    pres = gr_presentation(ring, 8)
-    assert not pres.exact
-    assert hilbert_data(ring, 8).values == hilbert_data(pres, 8).values
+    pres = gr_presentation(ring)
+    assert hilbert_data(ring, 8).values == hilbert_data(pres.graded_ring, 8).values
 
 
 def test_deformed_determinantal_cone_diverges_past_the_claim():
@@ -300,9 +298,6 @@ def test_deformed_determinantal_cone_diverges_past_the_claim():
     # containing no monomial), so the claimed cone is only valid as a
     # truncated statement: generators realizable and Hilbert data equal in
     # low degrees, no claim past the bound
-    from fthresh.ideals import zero_ideal
-    from fthresh.ring import transfer
-
     det = QuotientRing(
         2,
         ["x11", "x12", "x13", "x21", "x22", "x23"],
@@ -325,14 +320,20 @@ def test_deformed_determinantal_cone_diverges_past_the_claim():
     )
     assert not minors.contains_poly(transfer(combo, ambient))
     assert det.dimension == 3
+    # the exact cone holds the monomial that the claim misses
+    cone = zero_ideal(gr_presentation(det).graded_ring)
+    assert cone.contains_poly(transfer(combo, cone.ring))
 
 
 def test_oversized_macaulay_matrix_is_refused_before_allocation():
-    # default truncation 16 in six variables: 74613 columns and more than
-    # 10^4 product rows, far past the 2^27-cell bound
+    # degree 16 in six variables: 74613 columns and more than 10^4 product
+    # rows, far past the 2^27-cell bound; the cone needs no matrix
     ring = QuotientRing(2, ["a", "b", "c", "d", "e", "f"], ["a*b - c^6", "d*e - f^6"])
     with pytest.raises(TruncationError, match="exceeds the bound of 134217728 cells"):
-        gr_presentation(ring)
+        hilbert_data(ring, 16)
+    ambient = QuotientRing(2, ring.variables)
+    cone = [transfer(g, ambient) for g in gr_presentation(ring).initial_relations]
+    assert Ideal(ambient, cone).equals(Ideal(ambient, ["a*b", "d*e"]))
 
 
 def test_determinantal_cone_at_the_default_truncation_is_refused_before_any_row(monkeypatch):
@@ -342,8 +343,9 @@ def test_determinantal_cone_at_the_default_truncation_is_refused_before_any_row(
         raise AssertionError("a product row was built")
 
     monkeypatch.setattr(graded, "monomial_mul", no_rows)
-    with pytest.raises(TruncationError, match="194113 x 74613 cells through degree 16"):
-        gr_presentation(ring, 16)
+    with pytest.raises(TruncationError, match="116280 x 74613 cells through degree 16"):
+        hilbert_data(ring, 16)
+    assert ring_dimension(gr_presentation(ring).graded_ring) == 3
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -366,3 +368,74 @@ def test_initial_ideal_has_the_colength_of_the_ideal(p):
             for gens in (lifted, original)
         ]
         assert colengths[0] == colengths[1], (trial, colengths)
+
+
+# -- the exact tangent cone ------------------------------------------------------
+
+FIXTURE_DIMENSIONS = {
+    "ex-regular": 2, "ex-blowup": 3, "ex-node4": 3,
+    "ex-determinantal": 3, "ex-fermat-cubic": 2, "ex-cusp": 1,
+}
+
+
+def _fixture(name):
+    return Session.load(session_path(f"{name}.json")).ring
+
+
+def _cone_staircase(ring, D):
+    cone = zero_ideal(gr_presentation(ring).graded_ring)
+    return [len(cone.standard_monomials_of_degree(d)) for d in range(D + 1)]
+
+
+def _nonhomogeneous_ring(rng):
+    """2-3 relations in 2-4 variables over GF(2), GF(3) or GF(5), at least one not homogeneous."""
+    p = rng.choice([2, 3, 5])
+    ambient = QuotientRing(p, ["x", "y", "z", "w"][: rng.randint(2, 4)])
+    while True:
+        relations = [_random_poly(rng, ambient, max_deg=2) for _ in range(rng.randint(2, 3))]
+        relations = [f for f in relations if not f.is_zero()]
+        if any(not f.is_homogeneous() for f in relations):
+            return QuotientRing(p, ambient.variables, relations)
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_DIMENSIONS))
+def test_cone_staircase_matches_the_dense_oracle(name):
+    ring = _fixture(name)
+    expected = hilbert_oracle([g.terms for g in ring.relations], ring.nvars, ring.p, 7)
+    assert _cone_staircase(ring, 7) == expected
+
+
+def test_cone_staircase_matches_the_dense_oracle_on_random_rings():
+    for seed in range(100):
+        ring = _nonhomogeneous_ring(random.Random(900 + seed))
+        expected = hilbert_oracle([g.terms for g in ring.relations], ring.nvars, ring.p, 7)
+        assert _cone_staircase(ring, 7) == expected, (seed, ring)
+
+
+def test_cone_generators_pass_verify_gr_claim():
+    # every generator is the initial form of a combination of Macaulay rows,
+    # and the Hilbert data agree through degree 7
+    rings = [_fixture(name) for name in sorted(FIXTURE_DIMENSIONS) if name != "ex-regular"]
+    rings += [_nonhomogeneous_ring(random.Random(900 + seed)) for seed in range(30)]
+    checked = 0
+    for ring in rings:
+        cone = gr_presentation(ring).initial_relations
+        try:
+            report = verify_gr_claim(list(cone), ring, 7)
+        except TruncationError:
+            continue
+        assert report.passed, (ring, report.reason)
+        assert set(report.witnesses) == {str(g) for g in cone}
+        checked += 1
+    assert checked >= 30
+
+
+def test_gr_presentation_builds_no_macaulay_matrix(monkeypatch):
+    def no_rows(*args):
+        raise AssertionError("a Macaulay matrix was built")
+
+    monkeypatch.setattr(graded, "_product_rows", no_rows)
+    for name, dimension in FIXTURE_DIMENSIONS.items():
+        ring = _fixture(name)
+        assert ring_dimension(gr_presentation(ring).graded_ring) == dimension
+        assert ring.dimension == dimension

@@ -97,6 +97,11 @@ def test_dimension_examples(regular2, node2, node4):
     assert regular2.dimension == 2
     assert node2.dimension == 1
     assert ring_dimension(QuotientRing(2, ["x", "y", "z"])) == 3
+    # dimension is local: z - 1 is a unit at the origin, so (x*(z - 1), y*(z - 1)) = (x, y)
+    # there, while the global dimension also counts the plane z = 1
+    local = QuotientRing(2, ["x", "y", "z"], ["x*z - x", "y*z - y"])
+    assert local.dimension == 1
+    assert ring_dimension(local) == 2
 
 
 def test_socle_examples(regular2, fermat_cubic):
