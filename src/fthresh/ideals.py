@@ -1,15 +1,19 @@
 """Groebner bases and ideal arithmetic over quotient-ring presentations.
 
 Every predicate about an ideal of R = S/L is evaluated through its lift
-(generators + L) in the ambient polynomial ring S. The engine is classical
-Buchberger with the normal pair-selection strategy; reduced bases are unique
-for the fixed grevlex order, so handles compare ideals by comparing bases.
+(generators + L) in the ambient polynomial ring S. The engine is Buchberger
+with the normal pair-selection strategy and the Gebauer-Moeller update, which
+drops the S-pairs that the coprime-lead and chain criteria show to reduce to
+zero; reduced bases are unique for the fixed grevlex order, so handles compare
+ideals by comparing bases.
 
 Basis elements are monic (lead, terms) pairs: the leading monomial is found
 once, when an element enters the basis, and travels with it from `buchberger`
 to the `Ideal` handle (`_gb_leads`), which reduces and tests staircases from
 the stored leads. Each S-pair is ranked once, when it is created, and waits
-on a heap until it is the smallest pending pair.
+on a heap until it is the smallest pending pair. Each lead also carries a
+support bitmask (`_support`), so a reduction skips a reducer whose lead uses
+a variable that the monomial at hand lacks without comparing exponents.
 
 A normal form modulo a reduced basis is unique and linear, so a handle
 reduces each monomial once: `Ideal.normal_form(f)` is the sum of c * NF(x^m)
@@ -50,19 +54,38 @@ def _leading(terms, key):
     return max(terms, key=key)
 
 
-def _normal_form_terms(terms, reducers, p, key):
+_BITS = tuple(1 << i for i in range(64))
+
+
+def _support(m):
+    """Bitmask of the variables in monomial m: bit i is set iff m[i] > 0.
+
+    Only the first 64 variables get a bit. A mask only ever rules a divisor
+    out, so a missing bit weakens the filter without changing any result.
+    """
+    return sum(itertools.compress(_BITS, m))
+
+
+def _normal_form_terms(terms, reducers, p, key, masks=None):
     """Full normal form of a term dict against (lead, terms) reducer pairs.
 
-    Reducers must be monic. Returns a new dict; the input is not mutated.
+    Reducers must be monic. masks[i] is `_support` of the i-th lead (computed
+    here when not given): a lead with a variable that m lacks cannot divide m,
+    so it is skipped before `monomial_divides`. The order key of a monomial is
+    computed once, when it first enters the work dict. Returns a new dict; the
+    input is not mutated.
     """
+    if masks is None:
+        masks = [_support(lead) for lead, _ in reducers]
     work = dict(terms)
+    rank = {m: key(m) for m in work}
     remainder: dict = {}
     while work:
-        m = _leading(work, key)
+        m = max(work, key=rank.__getitem__)
         c = work.pop(m)
-        reduced = False
-        for lead, g_terms in reducers:
-            if monomial_divides(lead, m):
+        outside = ~_support(m)
+        for mask, (lead, g_terms) in zip(masks, reducers):
+            if not mask & outside and monomial_divides(lead, m):
                 shift = monomial_div(m, lead)
                 for gm, gc in g_terms.items():
                     if gm == lead:
@@ -71,11 +94,12 @@ def _normal_form_terms(terms, reducers, p, key):
                     v = (work.get(mm, 0) - c * gc) % p
                     if v:
                         work[mm] = v
+                        if mm not in rank:
+                            rank[mm] = key(mm)
                     else:
                         work.pop(mm, None)
-                reduced = True
                 break
-        if not reduced:
+        else:
             remainder[m] = c
     return remainder
 
@@ -138,36 +162,74 @@ def _s_poly(f, g, p):
 def buchberger(generator_terms, p, key=grevlex_key):
     """Reduced Groebner basis, as monic (lead, terms) pairs sorted by ascending lead.
 
-    Each element's leading monomial is found once, when it enters the basis,
-    and the basis list doubles as the reducer list of every normal form.
-    Pair selection is the normal strategy: a pair (i, j) is ranked once, when
-    it is created, by (deg lcm, key(lcm), i, j) and pushed on a heap, so pairs
-    are taken by minimal lcm degree, ties by the lcm monomial, then by index.
-    Pairs with coprime leads and pairs of two monomials are never queued:
-    their S-polynomials reduce to zero for free.
+    Each element's leading monomial and its support mask (`_support`) are
+    found once, when it enters the basis, and the basis list doubles as the
+    reducer list of every normal form. Pair selection is the normal strategy:
+    a pair (i, j) is ranked once, when it is created, by
+    (deg lcm, key(lcm), i, j) and pushed on a heap, so pairs are taken by
+    minimal lcm degree, ties by the lcm monomial, then by index.
+
+    Pairs are kept by the Gebauer-Moeller update (Gebauer-Moeller 1988) as
+    each element h enters:
+    - a waiting pair (i, j) is dropped when lead(h) divides its lcm and that
+      lcm differs from lcm(i, h) and from lcm(j, h);
+    - of the new pairs (i, h), only those whose lcm no other new lcm properly
+      divides are kept, one pair per lcm; an lcm is dropped whole when one of
+      its pairs has coprime leads or joins two monomials, since that pair's
+      S-polynomial reduces to zero for free.
+    A waiting pair dropped by the first rule stays on the heap and is skipped
+    when popped.
     """
     basis: list = []
+    masks: list = []
     pairs: list = []
+    live: dict = {}  # (i, j) -> (lcm, its support mask), for the queued pairs not dropped
 
     def enter(terms):
         lead, monic = _monic(terms, p, key)
-        basis.append((lead, monic))
-        k = len(basis) - 1
-        for i, (lead_i, terms_i) in enumerate(basis[:k]):
+        mask = _support(lead)
+        for (i, j), (tau, tau_mask) in list(live.items()):
+            if (
+                not mask & ~tau_mask
+                and monomial_divides(lead, tau)
+                and tau != monomial_lcm(basis[i][0], lead)
+                and tau != monomial_lcm(basis[j][0], lead)
+            ):
+                del live[i, j]
+        classes: dict = {}  # lcm -> [first i, its support mask, whether the lcm needs no pair]
+        for i, (lead_i, terms_i) in enumerate(basis):
             tau = monomial_lcm(lead_i, lead)
-            if tau == monomial_mul(lead_i, lead) or (len(terms_i) == 1 and len(monic) == 1):
+            free = (not masks[i] & mask and tau == monomial_mul(lead_i, lead)) or (
+                len(terms_i) == 1 and len(monic) == 1
+            )
+            if tau in classes:
+                classes[tau][2] |= free
+            else:
+                classes[tau] = [i, masks[i] | mask, free]
+        k = len(basis)
+        minimal: list = []
+        for tau in sorted(classes, key=sum):
+            i, tau_mask, free = classes[tau]
+            if any(not w_mask & ~tau_mask and monomial_divides(w, tau) for w, w_mask in minimal):
                 continue
-            heapq.heappush(pairs, (sum(tau), key(tau), i, k))
+            minimal.append((tau, tau_mask))
+            if not free:
+                live[i, k] = (tau, tau_mask)
+                heapq.heappush(pairs, (sum(tau), key(tau), i, k))
+        basis.append((lead, monic))
+        masks.append(mask)
 
     for terms in generator_terms:
         if terms:
-            nf = _normal_form_terms(terms, basis, p, key)
+            nf = _normal_form_terms(terms, basis, p, key, masks)
             if nf:
                 enter(nf)
     while pairs:
         _, _, i, j = heapq.heappop(pairs)
+        if live.pop((i, j), None) is None:
+            continue
         s = _s_poly(basis[i], basis[j], p)
-        nf = s and _normal_form_terms(s, basis, p, key)
+        nf = s and _normal_form_terms(s, basis, p, key, masks)
         if nf:
             enter(nf)
     return _reduce_basis(basis, p, key)
@@ -183,8 +245,9 @@ def _reduce_basis(basis, p, key):
     for lead, terms in sorted(basis, key=lambda g: key(g[0])):
         if not any(monomial_divides(h, lead) for h, _ in kept):
             kept.append((lead, terms))
+    masks = [_support(lead) for lead, _ in kept]
     return [
-        (lead, _normal_form_terms(terms, kept[:idx] + kept[idx + 1 :], p, key))
+        (lead, _normal_form_terms(terms, kept[:idx] + kept[idx + 1 :], p, key, masks[:idx] + masks[idx + 1 :]))
         for idx, (lead, terms) in enumerate(kept)
     ]
 

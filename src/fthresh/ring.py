@@ -10,6 +10,7 @@ at the ideal generated by the variables.
 from __future__ import annotations
 
 import re
+from operator import add, le, sub
 
 MAX_EXPONENT = 1 << 20
 
@@ -81,20 +82,20 @@ def elimination_key(exponents):
 
 
 def monomial_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def monomial_divides(a, b):
     """True when monomial a divides monomial b."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def monomial_div(b, a):
-    return tuple(y - x for x, y in zip(a, b))
+    return tuple(map(sub, b, a))
 
 
 def monomial_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def monomials_of_degree(nvars: int, degree: int):

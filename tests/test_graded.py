@@ -412,6 +412,20 @@ def test_cone_staircase_matches_the_dense_oracle_on_random_rings():
         assert _cone_staircase(ring, 7) == expected, (seed, ring)
 
 
+def test_cone_of_a_high_degree_ring_matches_the_dense_oracle():
+    # seed 909 of the cone generator with exponents up to 3: the saturation runs in
+    # six variables and yields 113 relations; with the coprime criterion alone it ran past 300 s
+    ring = QuotientRing(
+        2,
+        ["x", "y", "z", "w"],
+        ["x^3*y^3*z*w^3 + y^3*z*w + x*y*w^2", "x*z^2*w^3 + y^2*z + w^2", "y*z*w + x*w^2"],
+    )
+    cone = gr_presentation(ring).graded_ring
+    expected = [1, 4, 9, 15, 22, 28, 34, 40, 46]
+    assert hilbert_oracle([g.terms for g in ring.relations], 4, 2, 8) == expected
+    assert hilbert_oracle([g.terms for g in cone.relations], 4, 2, 8) == expected
+
+
 def test_cone_generators_pass_verify_gr_claim():
     # every generator is the initial form of a combination of Macaulay rows,
     # and the Hilbert data agree through degree 7

@@ -6,9 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from fthresh import Ideal, QuotientRing, RingError, ring_dimension
 from fthresh import ideals
+from fthresh.cli import run
 from fthresh.ideals import buchberger
 from fthresh.ring import elimination_key, grevlex_key, monomial_divides
 from fthresh.verifier import check_theorem_A_randomized
+from conftest import session_path
 from oracles import macaulay_member
 
 
@@ -294,3 +296,114 @@ def test_theorem_A_trial_reduces_each_monomial_once(monkeypatch):
     monkeypatch.setattr(ideals, "monomial_div", counted)
     assert check_theorem_A_randomized(3, 1, 2, 20).verdict == "pass"
     assert steps[0] < 10000
+
+
+def _all_pairs_buchberger(generator_terms, p, key):
+    """Reference reduced basis: every S-pair reduced, no criterion, no support masks.
+
+    Pairs are taken smallest lcm first. Returns monic (lead, terms) pairs sorted
+    by ascending lead, as `buchberger` does.
+    """
+
+    def divides(a, b):
+        return all(x <= y for x, y in zip(a, b))
+
+    def shifted(terms, shift, sign, out):
+        for m, c in terms.items():
+            mm = tuple(x + y for x, y in zip(m, shift))
+            out[mm] = (out.get(mm, 0) + sign * c) % p
+            if not out[mm]:
+                del out[mm]
+
+    def reduce(terms, reducers):
+        work, remainder = dict(terms), {}
+        while work:
+            m = max(work, key=key)
+            c = work[m]
+            g = next(((lead, g) for lead, g in reducers if divides(lead, m)), None)
+            if g is None:
+                remainder[m] = work.pop(m)
+            else:
+                shifted(g[1], tuple(y - x for x, y in zip(g[0], m)), -c, work)
+        return remainder
+
+    def monic(terms):
+        lead = max(terms, key=key)
+        inv = pow(terms[lead], p - 2, p)
+        return lead, {m: c * inv % p for m, c in terms.items()}
+
+    def lcm(i, j):
+        return tuple(max(x, y) for x, y in zip(basis[i][0], basis[j][0]))
+
+    basis = [monic(t) for t in generator_terms if t]
+    pairs = {(i, j) for j in range(len(basis)) for i in range(j)}
+    while pairs:
+        i, j = min(pairs, key=lambda ij: (sum(lcm(*ij)), key(lcm(*ij)), ij))
+        pairs.remove((i, j))
+        s: dict = {}
+        tau = lcm(i, j)
+        shifted(basis[i][1], tuple(x - y for x, y in zip(tau, basis[i][0])), 1, s)
+        shifted(basis[j][1], tuple(x - y for x, y in zip(tau, basis[j][0])), -1, s)
+        nf = reduce(s, basis)
+        if nf:
+            basis.append(monic(nf))
+            pairs |= {(i, len(basis) - 1) for i in range(len(basis) - 1)}
+    kept: dict = {}
+    for lead, g in basis:
+        if not any(divides(other, lead) and other != lead for other, _ in basis):
+            kept.setdefault(lead, g)  # two elements with one lead: keep one
+    out = [(lead, reduce(g, [(o, h) for o, h in kept.items() if o != lead])) for lead, g in kept.items()]
+    return sorted(out, key=lambda g: key(g[0]))
+
+
+def _random_terms(rng, nvars, p, max_deg, size):
+    terms = {}
+    for _ in range(size):
+        m = tuple(rng.randint(0, max_deg) for _ in range(nvars))
+        terms[m] = rng.randint(1, p - 1)
+    return terms
+
+
+@pytest.mark.parametrize("order", [grevlex_key, elimination_key], ids=["grevlex", "elimination"])
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("seed", range(12))
+def test_buchberger_matches_the_all_pairs_reference(seed, p, order):
+    rng = random.Random(7000 + 100 * p + seed)
+    nvars = rng.randint(2, 4)
+    gens = [_random_terms(rng, nvars, p, 2, rng.randint(1, 3)) for _ in range(rng.randint(2, 4))]
+    if seed % 3 == 0:
+        # repeated leads: each generator again, with its lead and a changed tail
+        for g in list(gens):
+            lead = max(g, key=order)
+            gens.append({lead: g[lead], **_random_terms(rng, nvars, p, 1, 2)})
+    assert buchberger(gens, p, key=order) == _all_pairs_buchberger(gens, p, order)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("seed", range(8))
+def test_buchberger_matches_the_all_pairs_reference_on_colon_inputs(seed, p):
+    # tagged as in `_eliminate_intersection`: t*(m^k + L) + (1 - t)*(f), t the first variable
+    rng = random.Random(8000 + 100 * p + seed)
+    ring = QuotientRing(p, ["x", "y", "z"], [] if seed % 2 else ["x*y - z^2"])
+    a = [g.terms for g in ring.power_of_maximal_ideal(rng.randint(1, 3)).generators + ring.relations]
+    f = _random_terms(rng, 3, p, 2, rng.randint(1, 3))
+    tagged = [{(1,) + m: c for m, c in g.items()} for g in a]
+    tagged.append({**{(0,) + m: c for m, c in f.items()}, **{(1,) + m: -c % p for m, c in f.items()}})
+    assert buchberger(tagged, p, key=elimination_key) == _all_pairs_buchberger(tagged, p, elimination_key)
+
+
+def test_determinantal_colon_lemma_reduces_few_s_polynomials(monkeypatch):
+    # the x11 colons of m^(n+1) + L reduced 4,583 S-polynomials with the coprime criterion alone
+    calls = [0]
+    s_poly = ideals._s_poly
+
+    def counted(f, g, p):
+        calls[0] += 1
+        return s_poly(f, g, p)
+
+    monkeypatch.setattr(ideals, "_s_poly", counted)
+    code, document = run(
+        ["check", "--session", session_path("ex-determinantal.json"), "--name", "colon-lemma", "--x", "x11"]
+    )
+    assert code == 0 and document["report"]["results"]["verdict"] == "pass"
+    assert calls[0] < 1500

@@ -5,7 +5,9 @@ from fthresh import ParseError, PrimeField, QuotientRing, RingError, parse_poly
 from fthresh.ring import (
     MAX_EXPONENT,
     grevlex_key,
+    monomial_div,
     monomial_divides,
+    monomial_lcm,
     monomial_mul,
     monomials_of_degree,
     monomials_outside,
@@ -122,6 +124,36 @@ def test_monomial_order_total_and_multiplicative(a, b, c):
         assert grevlex_key(monomial_mul(a, c)) < grevlex_key(monomial_mul(b, c))
     if sum(a) < sum(b):
         assert ka < kb
+
+
+@st.composite
+def monomial_pairs(draw):
+    """Two exponent tuples of one length 0-6; half the draws shift a to b, so that a divides b."""
+    nvars = draw(st.integers(0, 6))
+    a = draw(st.tuples(*[st.integers(0, 9)] * nvars))
+    if draw(st.booleans()):
+        b = tuple(x + draw(st.integers(0, 9)) for x in a)
+    else:
+        b = draw(st.tuples(*[st.integers(0, 9)] * nvars))
+    return a, b
+
+
+@given(monomial_pairs())
+@example(((), ()))
+@example(((0,), (0,)))
+@example(((3,), (2,)))
+@example(((0, 0, 0), (4, 0, 1)))
+@settings(max_examples=300, deadline=None)
+def test_monomial_primitives_match_their_elementwise_definitions(pair):
+    a, b = pair
+    n = len(a)
+    assert monomial_mul(a, b) == tuple(a[i] + b[i] for i in range(n))
+    assert monomial_lcm(a, b) == tuple(max(a[i], b[i]) for i in range(n))
+    divides = all(a[i] <= b[i] for i in range(n))
+    assert monomial_divides(a, b) is divides
+    if divides:
+        assert monomial_div(b, a) == tuple(b[i] - a[i] for i in range(n))
+        assert monomial_mul(monomial_div(b, a), a) == b
 
 
 @st.composite
