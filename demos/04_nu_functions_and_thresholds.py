@@ -1,7 +1,8 @@
 # nu-functions and F-threshold brackets. nu^J_a(q) is the last power of a
-# escaping the Frobenius bracket J^[q]; the normalized values nu/q climb
-# toward the F-threshold c^J(a), and a pigeonhole bound caps it from above,
-# so every level yields a rigorous rational bracket.
+# escaping the Frobenius bracket J^[q]; in a regular ring the normalized
+# values nu/q climb toward the F-threshold c^J(a), and a pigeonhole bound
+# caps it from above, so every level yields a rigorous rational bracket
+# (where nu/q does not climb, the estimate says so in its caveats).
 
 from fractions import Fraction
 

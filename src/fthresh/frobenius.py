@@ -8,8 +8,11 @@ visits only the monomials that no monomial basis element of J^[q] divides:
 the skipped ones lie in J^[q], so the first escaping monomial (the witness)
 is unchanged. Other data take the level chain: level t is a
 row-reduced basis, modulo J^[q], of the products of t generators of a, and
-the chain stops at the first empty level. Each record carries a dual
-certificate that is re-checked on construction.
+the chain stops at the first empty level. The chain builds no product: it
+multiplies in normal-form space, through one table {m: NF(x^m * g)} per
+generator g (`Ideal.multiplier`, the multiplication matrices of FGLM) that
+lives for one chain. Each record carries a dual certificate that is
+re-checked on construction.
 """
 
 from __future__ import annotations
@@ -52,10 +55,14 @@ class NuRecord:
 
 @dataclass
 class ThresholdEstimate:
-    """nu records plus rigorous rational brackets for the F-threshold c^J(a).
+    """nu records plus rational brackets for the F-threshold c^J(a).
 
-    lower = max nu/q; upper = min (nu + 1 + mu)/q with mu the generator count
-    of a (pigeonhole containment a^(sq' + mu(q'-1)) inside (a^s)^[q']).
+    upper = min (nu + 1 + mu)/q with mu the generator count of a (pigeonhole
+    containment a^(sq' + mu(q'-1)) inside (a^s)^[q']) is always an upper
+    bound. lower = max nu/q is a lower bound only when nu/q never decreases
+    with q, as in a regular ring; otherwise the caveat
+    "lower-bounds-not-monotone" is set, and the bracket may even be empty
+    (lower > upper), in which case guess is None.
     """
 
     records: list
@@ -133,19 +140,23 @@ def _levels(a: Ideal, target: Ideal, seeds):
     many products of generators it stands for. Each level also generates
     a^t * (seeds) + target modulo the target. A level whose matrix would pass
     the Macaulay cell bound is refused with a RingError.
+
+    Rows stay term dicts: NF(f * g) comes from one `Ideal.multiplier` per
+    generator g, whose table serves every level of this call only.
     """
+    multipliers = [target.multiplier(g) for g in a.generators]
     levels = []
-    level = list(seeds)
+    rows = [target.normal_form(s).terms for s in seeds]
     while True:
-        rows = [f.terms for f in map(target.normal_form, level) if not f.is_zero()]
+        rows = [row for row in rows if row]
         columns = sorted({m for row in rows for m in row}, key=grevlex_key, reverse=True)
         if len(rows) * len(columns) > _MAX_MATRIX_CELLS:
             raise RingError(f"a nu level of {len(rows)} x {len(columns)} cells exceeds {_MAX_MATRIX_CELLS}")
-        level = [Polynomial(a.ring, row) for _, row in linalg.echelon(rows, columns, a.ring.p)]
-        if not level:
+        reduced = [row for _, row in linalg.echelon(rows, columns, a.ring.p)]
+        if not reduced:
             return levels
-        levels.append(level)
-        level = [f * g for f in level for g in a.generators]
+        levels.append([Polynomial(a.ring, row) for row in reduced])
+        rows = [times(row) for row in reduced for times in multipliers]
 
 
 def _chain_witness(a: Ideal, target: Ideal, levels):
@@ -213,12 +224,14 @@ def _bracket(values, mu: int, max_denominator: int):
     """Rational bracket from (v, q) pairs: (max v/q, min (v+1+mu)/q, guess, monotone).
 
     The guess is the simplest rational inside the bracket once it is at most
-    1 wide; monotone says whether v/q never decreases along the list.
+    1 wide; monotone says whether v/q never decreases along the list. Only
+    non-monotone ratios can leave the bracket empty (lower > upper), and an
+    empty bracket gets no guess.
     """
     ratios = [Fraction(v, q) for v, q in values]
     lower = max(ratios)
     upper = min(Fraction(v + 1 + mu, q) for v, q in values)
-    guess = guess_rational(lower, upper, max_denominator) if upper - lower <= 1 else None
+    guess = guess_rational(lower, upper, max_denominator) if 0 <= upper - lower <= 1 else None
     return lower, upper, guess, all(x <= y for x, y in zip(ratios, ratios[1:]))
 
 

@@ -369,6 +369,36 @@ class Ideal:
             memo[n] = out
         return memo[m]
 
+    def multiplier(self, g: Polynomial):
+        """Multiplication by g in normal-form space: a function from a term dict f to NF(f * g).
+
+        NF is linear, so NF(f * g) is the sum of c * NF(x^m * g) over the terms
+        c * x^m of f. The returned function keeps its own table
+        {m: NF(x^m * g)}, each entry summed once from the handle's memoized
+        NF(x^(m+n)) over the terms d * x^n of g, and reused by every later
+        call; the table lives as long as the function, not on this handle.
+        Inputs are not mutated, and the results are fresh dicts.
+        """
+        if not g.ring.same_ambient(self.ring):
+            raise RingError("element from a different ambient ring")
+        p = self.ring.p
+        g_terms = g.terms
+        table: dict = {}
+
+        def times(terms):
+            out: dict = {}
+            for m, c in terms.items():
+                row = table.get(m)
+                if row is None:
+                    row = {}
+                    for n, d in g_terms.items():
+                        _add_scaled(row, self._monomial_nf(monomial_mul(m, n)), d, p)
+                    table[m] = row
+                _add_scaled(out, row, c, p)
+            return out
+
+        return times
+
     def contains_poly(self, f: Polynomial) -> bool:
         return self.normal_form(f).is_zero()
 

@@ -209,7 +209,7 @@ class Polynomial:
         out: dict = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = tuple(x + y for x, y in zip(m1, m2))
+                m = monomial_mul(m1, m2)
                 v = (out.get(m, 0) + c1 * c2) % p
                 if v:
                     out[m] = v

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,9 +15,10 @@ from fthresh import (
     threshold_estimate,
     verify_theorem_A,
 )
-from fthresh import frobenius
+from fthresh import frobenius, linalg
 from fthresh.cli import Session
-from fthresh.ring import monomials_of_degree
+from fthresh.ring import Polynomial, grevlex_key, monomials_of_degree
+from fthresh.verifier import random_m_primary, random_poly
 from oracles import nu_monomial_oracle, simplest_rational_oracle
 
 
@@ -170,19 +172,19 @@ def _first_escaping_chain(a, target, length):
     return None
 
 
-@pytest.mark.parametrize(
-    "p,relations,a_gens,J_gens,e",
-    [
-        (2, [], ["x + y^2", "y"], ["x", "y"], 1),
-        (2, [], ["x + y", "x*y"], ["x^2", "y"], 1),
-        (2, [], ["x + y", "x*y"], ["x", "y"], 2),
-        (2, ["x*y"], ["x + y^2", "y^2"], ["x", "y"], 2),
-        (3, [], ["x + y", "x*y"], ["x", "y"], 1),
-        (3, [], ["x^2 + y", "x*y", "y^2"], ["x", "y"], 1),
-        (3, ["x*y"], ["x + y", "y^2"], ["x", "y"], 1),
-        (3, [], ["x + 2*y^2", "x*y + y^2"], ["x", "y^2"], 1),
-    ],
-)
+CHAIN_CASES = [
+    (2, [], ["x + y^2", "y"], ["x", "y"], 1),
+    (2, [], ["x + y", "x*y"], ["x^2", "y"], 1),
+    (2, [], ["x + y", "x*y"], ["x", "y"], 2),
+    (2, ["x*y"], ["x + y^2", "y^2"], ["x", "y"], 2),
+    (3, [], ["x + y", "x*y"], ["x", "y"], 1),
+    (3, [], ["x^2 + y", "x*y", "y^2"], ["x", "y"], 1),
+    (3, ["x*y"], ["x + y", "y^2"], ["x", "y"], 1),
+    (3, [], ["x + 2*y^2", "x*y + y^2"], ["x", "y^2"], 1),
+]
+
+
+@pytest.mark.parametrize("p,relations,a_gens,J_gens,e", CHAIN_CASES)
 def test_nu_witness_is_first_escaping_chain(p, relations, a_gens, J_gens, e):
     # brute force over index chains in lex order, each product tested against
     # a fresh handle on the bracket power: nu is the longest escaping length
@@ -214,6 +216,77 @@ def test_gf3_seed7_scan_value_and_witness():
         "66e91fd0b0684ddc6e70a8da2f307a91abbceab8574920356b8f3b4429ceb3dd",
     ]
     assert second.caveats == ()
+
+
+def _reference_levels(a, target, seeds):
+    """The level chain as it was built from products: each f * g, then its normal form, then `echelon`."""
+    levels, level = [], list(seeds)
+    while True:
+        rows = [f.terms for f in map(target.normal_form, level) if not f.is_zero()]
+        columns = sorted({m for row in rows for m in row}, key=grevlex_key, reverse=True)
+        level = [Polynomial(a.ring, row) for _, row in linalg.echelon(rows, columns, a.ring.p)]
+        if not level:
+            return levels
+        levels.append(level)
+        level = [f * g for f in level for g in a.generators]
+
+
+def _random_chain_case(seed):
+    rng = random.Random(700 + seed)
+    p = (2, 3, 5)[seed % 3]
+    ring = QuotientRing(p, ["x", "y"], ["x*y"] if seed % 2 else [])
+    a = Ideal(ring, [random_poly(rng, ring) for _ in range(rng.randint(2, 3))])
+    seeds = [ring.one()] if seed < 6 else [random_poly(rng, ring), ring.one() + random_poly(rng, ring)]
+    return a, random_m_primary(rng, ring).bracket(p), seeds
+
+
+@pytest.mark.parametrize(
+    "case",
+    [("listed", i) for i in range(len(CHAIN_CASES))] + [("seeded", seed) for seed in range(9)],
+    ids=lambda case: f"{case[0]}-{case[1]}",
+)
+def test_levels_match_the_chain_of_products(case):
+    kind, i = case
+    if kind == "listed":
+        p, relations, a_gens, J_gens, e = CHAIN_CASES[i]
+        ring = QuotientRing(p, ["x", "y"], relations)
+        a, target, seeds = Ideal(ring, a_gens), Ideal(ring, J_gens).bracket(p**e), [ring.one()]
+    else:
+        a, target, seeds = _random_chain_case(i)
+        ring = a.ring
+    expected = _reference_levels(a, Ideal(ring, list(target.generators)), seeds)
+    assert expected
+    levels = frobenius._levels(a, target, seeds)
+    assert [[f.terms for f in level] for level in levels] == [[f.terms for f in level] for level in expected]
+
+
+def test_seed7_scan_builds_few_products(monkeypatch):
+    # building every level product took 34,167 multiplications; the multipliers' tables need about 600
+    calls = [0]
+    mul = Polynomial.__mul__
+
+    def counted(f, g):
+        calls[0] += 1
+        return mul(f, g)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counted)
+    ring = QuotientRing(3, ["x", "y"])
+    a = Ideal(ring, ["x^3", "x^2*y", "x*y^2", "y^3", "x*y + x + y", "2*x*y^2 + 2*x^2", "y^3 + x"])
+    J = Ideal(ring, ["x^2", "x*y", "y^2"])
+    assert (nu(a, J, 1).nu, nu(a, J, 2).nu) == (7, 25)
+    assert calls[0] < 2000
+
+
+def test_empty_bracket_gives_no_guess():
+    # GF(3)[x,y]/(x^3) is not reduced and nu/q falls (4/3, 10/9, 28/27): its maximum
+    # lies above the upper end 31/27, so the lower end is no bound and there is nothing to guess
+    ring = QuotientRing(3, ["x", "y"], ["x^3"])
+    b = Ideal(ring, ["x", "y", "2*x^2*y", "2*y^3 + 2*x^2"])
+    est = threshold_estimate(ring.maximal_ideal(), b, 3)
+    assert [(r.q, r.nu) for r in est.records] == [(3, 4), (9, 10), (27, 28)]
+    assert (est.lower, est.upper) == (Fraction(4, 3), Fraction(31, 27))
+    assert est.guess is None
+    assert "lower-bounds-not-monotone" in est.caveats
 
 
 def test_nu_level_past_the_cell_bound_is_refused(regular2, monkeypatch):

@@ -278,6 +278,26 @@ def test_memoized_normal_form_matches_direct_reduction(seed, p, relations, m_pri
         assert (nf is ideals._ZERO) == any(monomial_divides(g, m) for g in monomial_elements)
 
 
+@pytest.mark.parametrize("relations", [(), ("x*y",), ("x^2 - y^3",)], ids=["polynomial", "node", "cusp"])
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("seed", range(3))
+def test_multiplier_is_the_normal_form_of_the_product(seed, p, relations):
+    rng = random.Random(2000 * p + 10 * seed + len(relations))
+    ring = QuotientRing(p, ["x", "y", "z"], relations)
+    ideal = _random_ideal(rng, ring, count=3) + Ideal(ring, [f"{v}^{rng.randint(2, 5)}" for v in ring.variables])
+    attributes = set(vars(ideal))
+    for g in _random_ideal(rng, ring, count=3, max_deg=3).generators:
+        times = ideal.multiplier(g)
+        probes = list(_random_ideal(rng, ring, count=8, max_deg=3).generators)
+        probes += [ideal.normal_form(f) for f in probes]
+        for f in probes + probes[::-1]:
+            before = dict(f.terms)
+            assert times(f.terms) == ideal.normal_form(f * g).terms
+            assert f.terms == before
+    # the products' table belongs to the returned function, not to the handle
+    assert set(vars(ideal)) == attributes
+
+
 def test_normal_form_follows_a_deep_reduction_chain(regular2):
     # x^2000 -> x^1999*y -> ... -> x*y^1999 is 1,999 steps, past the default recursion limit
     ideal = Ideal(regular2, ["x^2 + x*y"])
