@@ -1,9 +1,9 @@
 # Associated graded rings (tangent cones) and initial ideals. For a local
 # presentation R = S/L the graded fiber is S/in(L), computed exactly for any
-# relations by t-saturation (the deformation to the normal cone). Initial
-# ideals of m-primary ideals are read through a truncation degree D from one
-# Macaulay matrix: every piece through D is exact, and the exact flag says
-# whether those pieces determine the ideal.
+# relations by t-saturation (the deformation to the normal cone). The initial
+# ideal of an m-primary ideal a is exact too: one Macaulay matrix gives its
+# pieces below the nilpotency degree N of a, and every monomial of degree N
+# lies in it.
 
 from fthresh import (
     Ideal,
@@ -51,6 +51,6 @@ print("claim (z^2*w):", bad.passed, "|", bad.reason)
 # relations can hide initial forms of ideals: in(x + y^2) = x but y^5 survives
 plane = QuotientRing(2, ["x", "y"])
 shifted = Ideal(plane, ["x + y^2", "y^5"])
-cone = gr_of_ideal(shifted, gr_presentation(plane), 6)
-target = Ideal(cone.ideal.ring, ["x", "y^5"])
-print("gr(x + y^2, y^5) == (x, y^5)?", cone.ideal.equals(target))
+cone = gr_of_ideal(shifted, gr_presentation(plane))
+target = Ideal(cone.ring, ["x", "y^5"])
+print("gr(x + y^2, y^5) == (x, y^5)?", cone.equals(target))

@@ -262,12 +262,8 @@ def _cmd_gr(session, args):
 
 def _cmd_gr_ideal(session, args):
     pres = gr_presentation(session.ring)
-    result = gr_of_ideal(session.ideal(args.a), pres, _option(session, args.degree, "D"))
-    return 0, {
-        "exact": result.exact,
-        "truncation_degree": result.truncation_degree,
-        "generators": [str(g) for g in result.ideal.generators],
-    }
+    result = gr_of_ideal(session.ideal(args.a), pres)
+    return 0, {"exact": True, "generators": [str(g) for g in result.generators]}
 
 
 def _cmd_hilbert(session, args):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .graded import GradedPresentation, gr_of_ideal, gr_presentation
+from .graded import gr_of_ideal, gr_presentation
 from .ideals import Ideal
 from .linalg import _MAX_MATRIX_CELLS
 from .ring import Polynomial, QuotientRing, RingError, grevlex_key
@@ -319,7 +319,6 @@ class TheoremAReport:
     reason: str
     local_estimate: ThresholdEstimate
     graded_estimate: ThresholdEstimate
-    presentation: GradedPresentation
     counterexample: dict | None
     caveats: tuple
 
@@ -334,10 +333,9 @@ def verify_theorem_A(ring: QuotientRing, b: Ideal, e_max: int) -> TheoremAReport
     if not b.is_m_primary():
         raise RingError("b must be m-primary")
     presentation = gr_presentation(ring)
-    # the pieces through the nilpotency degree determine in(b + L)
-    graded_b = gr_of_ideal(b, presentation, b.nilpotency_degree())
+    graded_b = gr_of_ideal(b, presentation)
     local = threshold_estimate(ring.maximal_ideal(), b, e_max)
-    graded = threshold_estimate(presentation.graded_ring.maximal_ideal(), graded_b.ideal, e_max)
+    graded = threshold_estimate(presentation.graded_ring.maximal_ideal(), graded_b, e_max)
     caveats = tuple(local.caveats) + tuple(graded.caveats)
     for loc, grd in zip(local.records, graded.records):
         if loc.nu > grd.nu:
@@ -346,7 +344,6 @@ def verify_theorem_A(ring: QuotientRing, b: Ideal, e_max: int) -> TheoremAReport
                 "nu^b_m exceeded nu^I_n; implementation bug",
                 local,
                 graded,
-                presentation,
                 {
                     "e": loc.e,
                     "q": loc.q,
@@ -356,4 +353,4 @@ def verify_theorem_A(ring: QuotientRing, b: Ideal, e_max: int) -> TheoremAReport
                 },
                 caveats,
             )
-    return TheoremAReport("pass", "inequality holds at every computed level", local, graded, presentation, None, caveats)
+    return TheoremAReport("pass", "inequality holds at every computed level", local, graded, None, caveats)

@@ -6,11 +6,11 @@ t^(d - ord g), the t-saturation of (g*) is found by eliminating s from
 (g*, 1 - s*t), and setting t = 0 in its generators gives generators of in(L).
 The rest reads Macaulay matrices: the image in S/m^(D+1) of an ideal I of S
 is spanned by the products x^m * g, deg x^m <= D - ord(g), of its generators,
-cut above degree D. One matrix gives every piece in(I)_d, d <= D, exactly,
-and these determine an m-primary I once D reaches its nilpotency degree. From
-the relations' rows, h_d is the number of degree-d monomials minus
-dim in(L)_d, and ord(f) is the first D at which f survives reduction; what
-survives is in(f).
+cut above degree D. One matrix gives every piece in(I)_d, d <= D, exactly;
+for m-primary I the pieces below its nilpotency degree N and the degree-N
+monomials generate in(I). From the relations' rows, h_d is the number of
+degree-d monomials minus dim in(L)_d, and ord(f) is the first D at which f
+survives reduction; what survives is in(f).
 """
 
 from __future__ import annotations
@@ -65,22 +65,12 @@ class GradedPresentation:
 
 
 @dataclass
-class GradedIdeal:
-    """Initial ideal of an m-primary ideal inside a graded presentation."""
-
-    ideal: Ideal
-    exact: bool
-    truncation_degree: int
-
-
-@dataclass
 class GrClaimReport:
     passed: bool
     reason: str
     witnesses: dict = field(default_factory=dict)
     hilbert_ring: list = field(default_factory=list)
     hilbert_claimed: list = field(default_factory=list)
-    truncation_degree: int = 0
 
 
 def default_truncation(polys) -> int:
@@ -201,40 +191,38 @@ def gr_presentation(ring: QuotientRing) -> GradedPresentation:
     return GradedPresentation(ring, graded)
 
 
-def gr_of_ideal(a: Ideal, presentation: GradedPresentation, D: int | None = None) -> GradedIdeal:
-    """Initial ideal of an m-primary ideal inside the graded presentation, through degree D.
+def _initial_terms(a: Ideal) -> list:
+    """Generators of in(a + L) in S, as term dicts, for an m-primary ideal a of R = S/L.
 
-    Exact once D reaches the nilpotency degree N of a: in(a + L) holds every
-    monomial of degree >= N, and its pieces below N come from one matrix.
+    m^N ⊆ a + L for the nilpotency degree N of a, so in(a + L) is generated by
+    its pieces below N, read from one matrix in pivot order, and the degree-N
+    monomials, in grevlex order.
     """
+    ring = a.ring
+    N = a.nilpotency_degree()
+    pieces = _pieces(ring, list(a.generators) + list(ring.relations), N - 1)
+    monomials = sorted(monomials_of_degree(ring.nvars, N), key=grevlex_key)
+    return [t for piece in pieces.values() for t in piece] + [{m: 1} for m in monomials]
+
+
+def gr_of_ideal(a: Ideal, presentation: GradedPresentation) -> Ideal:
+    """Initial ideal in(a + L) of an m-primary ideal a, as an ideal of gr_m(R) = S/in(L)."""
     ring = presentation.ring
     if a.ring != ring:
         raise RingError("ideal belongs to a different presentation")
     if not a.is_m_primary():
         raise RingError("initial ideals are computed for m-primary ideals only")
-    if D is None:
-        D = default_truncation(ring.relations)
     graded = presentation.graded_ring
+    # homogeneous a and L give in(a + L) = a + L, generated modulo in(L) by a's own generators.
+    # The matrix path gives the same ideal of S/in(L) but not of S (ex-fermat-cubic `gr-ideal
+    # --a J`: (x, y) here, (y, x, z^3) there), and perfbench/workloads._fingerprint compares
+    # the reported generators as an ideal of S
     rel_basis = zero_ideal(ring).groebner_basis()
     if all(g.is_homogeneous() for g in rel_basis) and all(
         g.is_homogeneous() for g in a.generators
     ):
-        return GradedIdeal(Ideal(graded, [transfer(g, graded) for g in a.generators]), True, D)
-    if not ring.relations:
-        own = a.groebner_basis()
-        if len(own) == 1:
-            lowest = own[0].homogeneous_component(own[0].min_degree())
-            return GradedIdeal(Ideal(graded, [transfer(lowest, graded)]), True, D)
-    N = a.nilpotency_degree()
-    pieces = _pieces(ring, list(a.generators) + list(ring.relations), min(D, N - 1))
-    gens = [graded.from_terms(t) for piece in pieces.values() for t in piece]
-    # m^N ⊆ a + L, so every monomial of degree N..D lies in in(a + L)
-    gens += [
-        graded.monomial(m)
-        for d in range(N, D + 1)
-        for m in sorted(monomials_of_degree(ring.nvars, d), key=grevlex_key)
-    ]
-    return GradedIdeal(Ideal(graded, gens), N <= D, D)
+        return Ideal(graded, [transfer(g, graded) for g in a.generators])
+    return Ideal(graded, [graded.from_terms(t) for t in _initial_terms(a)])
 
 
 # -- Hilbert data ------------------------------------------------------------------
@@ -275,7 +263,6 @@ def verify_gr_claim(claimed, ring: QuotientRing, D: int | None = None) -> GrClai
                 False,
                 f"claimed generator {g} is not the initial form of any element of L",
                 witnesses,
-                truncation_degree=D,
             )
         witnesses[str(g)] = witness
     ambient = QuotientRing(ring.p, ring.variables)
@@ -289,9 +276,8 @@ def verify_gr_claim(claimed, ring: QuotientRing, D: int | None = None) -> GrClai
             witnesses,
             h_ring,
             h_claimed,
-            D,
         )
-    return GrClaimReport(True, "realizability and Hilbert agreement hold", witnesses, h_ring, h_claimed, D)
+    return GrClaimReport(True, "realizability and Hilbert agreement hold", witnesses, h_ring, h_claimed)
 
 
 def _realize_initial_form(ring, rows, target: Polynomial):

@@ -15,7 +15,7 @@ from . import linalg
 from .frobenius import _check_generators_in_m, nu, verify_theorem_A
 from .graded import (
     AtLeast,
-    _pieces,
+    _initial_terms,
     gr_presentation,
     initial_form,
     ord_of,
@@ -149,10 +149,11 @@ def check_superficial(x: Polynomial, c_max: int, n_max: int) -> CheckReport:
 
 
 def check_lemma22(a: Ideal, b: Ideal) -> CheckReport:
-    """Compare initial pieces of a ⊆ b through the nilpotency degree of a.
+    """Compare the initial ideals in(a + L) ⊆ in(b + L) of m-primary a ⊆ b, as ideals of S.
 
-    Equal pieces are followed through with an actual containment test of
-    b in a; a piece mismatch exhibits the separating graded class.
+    Equal initial ideals are followed through with an actual containment test
+    of b in a; otherwise the first generator of in(b + L) outside in(a + L)
+    is the separating graded class, and its degree the separating degree.
     """
     ring = a.ring
     inputs = {"ring": repr(ring), "a": repr(a), "b": repr(b)}
@@ -160,22 +161,21 @@ def check_lemma22(a: Ideal, b: Ideal) -> CheckReport:
         raise RingError("a must be contained in b")
     if not (a.is_m_primary() and b.is_m_primary()):
         raise RingError("both ideals must be m-primary")
-    D = a.nilpotency_degree()
-    pieces_a = _pieces(ring, list(a.generators) + list(ring.relations), D)
-    pieces_b = _pieces(ring, list(b.generators) + list(ring.relations), D)
-    for i in range(D + 1):
-        if pieces_a[i] == pieces_b[i]:
-            continue
-        cls = _separating_piece_row(ring, pieces_a[i], pieces_b[i])
+    N = a.nilpotency_degree()
+    ambient = QuotientRing(ring.p, ring.variables)
+    in_a, in_b = (Ideal(ambient, [ambient.from_terms(t) for t in _initial_terms(c)]) for c in (a, b))
+    # the generators of in(b + L) ascend in degree, so the first one outside in(a + L)
+    # lies in the first degree where the two differ
+    if (cls := _first_outside(in_b, in_a)) is not None:
         return CheckReport(
             "lemma22",
             "pass",
             inputs,
             details={
                 "equal": False,
-                "separating_degree": i,
+                "separating_degree": cls.degree(),
                 "separating_class": str(cls),
-                "compared_through": D,
+                "compared_through": N,
             },
         )
     # a ⊆ b was checked above; only b ⊆ a is open
@@ -184,7 +184,7 @@ def check_lemma22(a: Ideal, b: Ideal) -> CheckReport:
             "lemma22",
             "pass",
             inputs,
-            details={"equal": True, "verified": True, "compared_through": D},
+            details={"equal": True, "verified": True, "compared_through": N},
         )
     return CheckReport(
         "lemma22",
@@ -192,18 +192,10 @@ def check_lemma22(a: Ideal, b: Ideal) -> CheckReport:
         inputs,
         witnesses={"element": str(outside)},
         details={
-            "reason": "graded pieces agree through the nilpotency degree but the ideals differ; "
-            "the piece computation is wrong"
+            "reason": "initial ideals agree but the ideals differ; "
+            "the initial-ideal computation is wrong"
         },
     )
-
-
-def _separating_piece_row(ring, rows_a, rows_b):
-    """First row of b outside the span of the echelon rows of a, as a polynomial."""
-    for row in rows_b:
-        if linalg.rank(rows_a + [row], ring.p) > len(rows_a):
-            return ring.from_terms(row)
-    return None
 
 
 # -- randomized suites --------------------------------------------------------------------

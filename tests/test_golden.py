@@ -17,7 +17,11 @@ product degree. The six `gr` ones were re-recorded when one t-saturation
 replaced the four ways of building the cone: the reports dropped their
 `method` and `truncation_degree` fields, the five cones that were already exact
 are otherwise unchanged, and the ex-determinantal cone became exact, with its
-degree-7 generators. A change that alters one of them changes a reported answer.
+degree-7 generators. The four non-homogeneous `gr-ideal` ones were re-recorded
+when every initial ideal became exact through the nilpotency degree N: the
+reports dropped `truncation_degree`, and the generator lists end with the
+degree-N monomials instead of every monomial of degree N..D, the same ideal.
+A change that alters one of them changes a reported answer.
 Arguments are split on spaces, so generator lists are written without them.
 """
 
@@ -153,20 +157,20 @@ GOLDEN = [
      (0, "7adc438aa8530812622adde6cbac6264bb9467af45716940fe6da4fbd6bcd85c")),
     ("ex-determinantal", "check --name reduction --a m",
      (0, "11af31cb0697fd9ceb78529b15562f1feca16a599ba1354b5ba94ee63c18ad83")),
-    # the t-saturated cone, Macaulay pieces (exact initial ideals) and the
-    # separating classes of lemma22
+    # the t-saturated cone, exact initial ideals and the separating classes of
+    # lemma22
     ("ex-determinantal", "gr",
      (0, "fa5030c8a185875b613919d004e4c9619c80c7850f8b9c705085773a10638081")),
     ("ex-determinantal", "gr-ideal --a m",
-     (0, "cef73719085d4fa37d558b52c1e50bdaea37d047957239626631110d6729a463")),
+     (0, "b304152ff531ccbbfd3a7f5929f47b35b679c0aefea11d3e36b9a34edff6c628")),
     ("ex-determinantal", "verify-gr --a minors",
      (0, "54a3f37c2dee5ab016f4a7a7b1f36abd8f538be8070b176152cdc2422035b589")),
     ("ex-blowup", "gr-ideal --a m",
-     (0, "7b0153ef2777ee448f79c12fd040442e3f6c5e19000a699b4e94c21e26513437")),
+     (0, "7fd72cd2730ca576230cb5d6a767e9f9eeec5b1d6991214e8e8d9c6c532f103b")),
     ("ex-cusp", "gr-ideal --a J",
-     (0, "5b2dd9006d44a8fd65b39344b01567760eaa5b83edcadc3800af8c6538c1e847")),
+     (0, "17487ad6f96712851a53bac38e9132e6e1308a19affd89a749abff7d9e246a57")),
     ("ex-cusp", "gr-ideal --a m",
-     (0, "27a9264aa649dd14ad32a890572cba0906ad92de5446ab5c31ed77a1e23c6b4e")),
+     (0, "c6c2522491751d6045e60c13bbf1becf467b144269b615dd7b7fa2f2e1039e8e")),
     ("ex-blowup", "check --name lemma22 --a x^2,y,z,w --b m",
      (0, "f3b5a19ed7ecba41001402b40bc0f2a86828184a8fa220a108422a99b3fab22a")),
     ("ex-cusp", "check --name lemma22 --a x,y^2 --b m",

@@ -65,29 +65,55 @@ def test_gr_presentation_regular_and_homogeneous(regular2, node4):
 def test_gr_of_ideal_examples(regular2):
     pres = gr_presentation(regular2)
     m = regular2.maximal_ideal()
-    grm = gr_of_ideal(m, pres, 6)
-    assert grm.exact
-    assert grm.ideal.equals(pres.graded_ring.maximal_ideal())
-    mixed = gr_of_ideal(Ideal(regular2, ["x + y^2", "y^5"]), pres, 6)
-    assert mixed.ideal.equals(Ideal(pres.graded_ring, ["x", "y^5"]))
-    homogeneous = gr_of_ideal(Ideal(regular2, ["x^2", "y^2"]), pres, 6)
-    assert homogeneous.exact
-    assert homogeneous.ideal.equals(Ideal(pres.graded_ring, ["x^2", "y^2"]))
+    assert gr_of_ideal(m, pres).equals(pres.graded_ring.maximal_ideal())
+    mixed = gr_of_ideal(Ideal(regular2, ["x + y^2", "y^5"]), pres)
+    assert mixed.equals(Ideal(pres.graded_ring, ["x", "y^5"]))
+    homogeneous = gr_of_ideal(Ideal(regular2, ["x^2", "y^2"]), pres)
+    assert homogeneous.equals(Ideal(pres.graded_ring, ["x^2", "y^2"]))
 
 
 def test_gr_of_powers_of_maximal_ideal(blowup):
     pres = gr_presentation(blowup)
     graded = pres.graded_ring
     for t in range(1, 5):
-        lhs = gr_of_ideal(blowup.maximal_ideal().power(t), pres, 8)
+        lhs = gr_of_ideal(blowup.maximal_ideal().power(t), pres)
         rhs = Ideal(graded, [graded.monomial(m) for m in monomials_of_degree(4, t)])
-        assert lhs.ideal.equals(rhs)
+        assert lhs.equals(rhs)
 
 
 def test_gr_of_ideal_requires_m_primary(regular2):
     pres = gr_presentation(regular2)
     with pytest.raises(Exception):
-        gr_of_ideal(Ideal(regular2, ["x"]), pres, 6)
+        gr_of_ideal(Ideal(regular2, ["x"]), pres)
+
+
+def _random_form(rng, ring, degree):
+    """Sum of one to three degree-`degree` monomials with nonzero coefficients."""
+    monomials = list(monomials_of_degree(ring.nvars, degree))
+    out = ring.zero()
+    for m in rng.sample(monomials, min(len(monomials), rng.randint(1, 3))):
+        out = out + ring.monomial(m, rng.randint(1, ring.p - 1))
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_homogeneous_shortcut_is_the_initial_ideal(p):
+    """Homogeneous L and a: a's own generators give the matrix path's in(a + L) in S/in(L)."""
+    for seed in range(20):
+        rng = random.Random(seed)
+        names = ["x", "y", "z"][: rng.randint(2, 3)]
+        ambient = QuotientRing(p, names)
+        relations = [_random_form(rng, ambient, rng.randint(2, 3)) for _ in range(rng.randint(1, 2))]
+        ring = QuotientRing(p, names, relations)
+        k = rng.randint(1, 3)
+        forms = [_random_form(rng, ring, rng.randint(1, k)) for _ in range(rng.randint(1, 2))]
+        a = ring.maximal_ideal().power(k) + Ideal(ring, forms)
+        pres = gr_presentation(ring)
+        shortcut = gr_of_ideal(a, pres)
+        assert [str(g) for g in shortcut.generators] == [str(g) for g in a.generators]
+        cone = pres.graded_ring
+        exact = Ideal(cone, [cone.from_terms(t) for t in graded._initial_terms(a)])
+        assert shortcut.equals(exact), (seed, ring, a)
 
 
 def test_hilbert_examples(regular2, node4):
@@ -358,10 +384,9 @@ def test_initial_ideal_has_the_colength_of_the_ideal(p):
         rng = random.Random(trial)
         ring = random_hypersurface(rng, p)
         b = random_m_primary(rng, ring)
-        initial = gr_of_ideal(b, gr_presentation(ring), b.nilpotency_degree())
-        assert initial.exact
+        initial = gr_of_ideal(b, gr_presentation(ring))
         ambient = QuotientRing(p, ring.variables)
-        lifted = list(initial.ideal.generators) + list(initial.ideal.ring.relations)
+        lifted = list(initial.generators) + list(initial.ring.relations)
         original = list(b.generators) + list(ring.relations)
         colengths = [
             len(Ideal(ambient, [transfer(g, ambient) for g in gens]).standard_monomials())

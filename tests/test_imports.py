@@ -8,10 +8,12 @@ other module hands it term-dict rows. Every top-level private function or
 class is referenced by name somewhere in the package outside its own
 definition, so a replaced helper cannot stay behind. Only `self` has its
 attributes assigned or its private attributes read: another object's state is
-reached through its methods.
+reached through its methods. Every entry point that `perfbench/tracer.py`
+wraps resolves in the package, so a rename cannot break the traced runs.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -183,3 +185,27 @@ def test_foreign_private_read_is_reported():
     assert foreign_private_reads(source) == [
         (2, "handle._gb_leads"), (3, "self.ring._var_index"), (6, "f(obj._a)._b"), (6, "obj._a"),
     ]
+
+
+def tracer_entry_points():
+    """(module, attribute path) of every entry in `perfbench/tracer.py`'s ENTRY_POINTS, read with `ast`."""
+    tree = ast.parse((SRC.parent.parent / "perfbench" / "tracer.py").read_text())
+    table = next(
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "ENTRY_POINTS" for t in node.targets)
+    )
+    return [(entry.elts[0].value, entry.elts[1].value) for entry in table.elts]
+
+
+def test_tracer_entry_points_resolve():
+    # Tracer.install does a getattr on each entry, so a renamed one breaks every traced run
+    entries = tracer_entry_points()
+    missing = []
+    for module, path in entries:
+        target = importlib.import_module(f"fthresh.{module}")
+        for name in path.split("."):
+            target = getattr(target, name, None)
+        if target is None:
+            missing.append(f"{module}.{path}")
+    assert entries and missing == []

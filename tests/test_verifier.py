@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from fthresh import (
@@ -11,6 +13,8 @@ from fthresh import (
     check_superficial,
     check_theorem_A_randomized,
 )
+from fthresh.verifier import random_hypersurface, random_m_primary
+from oracles import hilbert_oracle
 
 
 def test_colon_lemma_regular(regular2):
@@ -98,6 +102,35 @@ def test_lemma22_quotient_ring(node2):
     b = a + Ideal(node2, ["x^2"])
     report = check_lemma22(a, b)
     assert report.verdict == "pass"
+
+
+def test_lemma22_matches_the_hilbert_oracle():
+    """60 seeded pairs a ⊆ b = a + (x_i * x_1) on criterion-4 hypersurfaces.
+
+    in(a + L) ⊆ in(b + L), so they differ first where the dense Hilbert
+    functions of S/(a + L) and S/(b + L) do, and are equal iff those agree.
+    """
+    separated = 0
+    for trial in range(60):
+        p = 2 + trial % 2
+        rng = random.Random(trial)
+        ring = random_hypersurface(rng, p)
+        a = random_m_primary(rng, ring)
+        x = ring.gens()
+        b = a + Ideal(ring, [x[rng.randrange(ring.nvars)] * x[0]])
+        report = check_lemma22(a, b)
+        assert report.verdict == "pass", (trial, report.witnesses)
+        D = a.nilpotency_degree()
+        h_a, h_b = (
+            hilbert_oracle([g.terms for g in c.generators + ring.relations], ring.nvars, p, D)
+            for c in (a, b)
+        )
+        differ = [d for d in range(D + 1) if h_a[d] != h_b[d]]
+        assert report.details["equal"] == (not differ), (trial, h_a, h_b)
+        if differ:
+            assert report.details["separating_degree"] == differ[0], (trial, h_a, h_b)
+            separated += 1
+    assert 0 < separated < 60
 
 
 def test_lemma22_requires_containment(regular2):
