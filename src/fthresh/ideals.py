@@ -13,7 +13,11 @@ to the `Ideal` handle (`_gb_leads`), which reduces and tests staircases from
 the stored leads. Each S-pair is ranked once, when it is created, and waits
 on a heap until it is the smallest pending pair. Each lead also carries a
 support bitmask (`_support`), so a reduction skips a reducer whose lead uses
-a variable that the monomial at hand lacks without comparing exponents.
+a variable that the monomial at hand lacks without comparing exponents. The
+pair update sets the free pairs (coprime leads, or two monomials) aside
+first, takes lcms only for the other pairs, and runs the chain filter over
+their lcm classes, then against the leads of the free partners; bases of
+monomial-heavy inputs such as m^k + L thus cost no lcm per monomial pair.
 
 A normal form modulo a reduced basis is unique and linear, so a handle
 reduces each monomial once: `Ideal.normal_form(f)` is the sum of c * NF(x^m)
@@ -175,13 +179,23 @@ def buchberger(generator_terms, p, key=grevlex_key):
       lcm differs from lcm(i, h) and from lcm(j, h);
     - of the new pairs (i, h), only those whose lcm no other new lcm properly
       divides are kept, one pair per lcm; an lcm is dropped whole when one of
-      its pairs has coprime leads or joins two monomials, since that pair's
-      S-polynomial reduces to zero for free.
+      its pairs is free: it has coprime leads or joins two monomials, so its
+      S-polynomial reduces to zero.
     A waiting pair dropped by the first rule stays on the heap and is skipped
     when popped.
+
+    The second rule sets free pairs aside first, with no lcm for two
+    monomials (a monomial h scans only the elements with more than one term);
+    coprime means disjoint masks and lcm equal to the product, since masks
+    cover 64 variables. Then (a) the degree-sorted minimal filter runs over
+    the lcms of the other pairs, and (b) a surviving lcm tau is dropped when
+    the lead of a free partner w divides it: as lead(h) | tau, that is
+    lcm(w, h) | tau, a proper divisor or a free pair of tau's own class.
     """
     basis: list = []
     masks: list = []
+    polys: list = []  # indices of the basis elements with more than one term
+    monomials: list = []  # (lead, support mask) of the one-term basis elements
     pairs: list = []
     live: dict = {}  # (i, j) -> (lcm, its support mask), for the queued pairs not dropped
 
@@ -196,28 +210,36 @@ def buchberger(generator_terms, p, key=grevlex_key):
                 and tau != monomial_lcm(basis[j][0], lead)
             ):
                 del live[i, j]
-        classes: dict = {}  # lcm -> [first i, its support mask, whether the lcm needs no pair]
-        for i, (lead_i, terms_i) in enumerate(basis):
+        is_monomial = len(monic) == 1
+        classes: dict = {}  # lcm of a pair that is not free -> [first i, its support mask]
+        free = monomials if is_monomial else ()  # (lead, mask) of the monomial partners, whose pairs are free
+        coprime: list = []  # (lead, mask) of the partners with coprime leads
+        for i in polys if is_monomial else range(len(basis)):
+            lead_i = basis[i][0]
             tau = monomial_lcm(lead_i, lead)
-            free = (not masks[i] & mask and tau == monomial_mul(lead_i, lead)) or (
-                len(terms_i) == 1 and len(monic) == 1
-            )
-            if tau in classes:
-                classes[tau][2] |= free
-            else:
-                classes[tau] = [i, masks[i] | mask, free]
+            if not masks[i] & mask and tau == monomial_mul(lead_i, lead):
+                coprime.append((lead_i, masks[i]))
+            elif tau not in classes:
+                classes[tau] = [i, masks[i] | mask]
         k = len(basis)
         minimal: list = []
         for tau in sorted(classes, key=sum):
-            i, tau_mask, free = classes[tau]
+            i, tau_mask = classes[tau]
             if any(not w_mask & ~tau_mask and monomial_divides(w, tau) for w, w_mask in minimal):
                 continue
             minimal.append((tau, tau_mask))
-            if not free:
+            # lead(h) | tau, so lead(w) | tau iff lcm(w, h) | tau: a proper divisor, or a free pair of this lcm
+            if not any(
+                not w_mask & ~tau_mask and monomial_divides(w, tau) for w, w_mask in itertools.chain(free, coprime)
+            ):
                 live[i, k] = (tau, tau_mask)
                 heapq.heappush(pairs, (sum(tau), key(tau), i, k))
         basis.append((lead, monic))
         masks.append(mask)
+        if is_monomial:
+            monomials.append((lead, mask))
+        else:
+            polys.append(k)
 
     for terms in generator_terms:
         if terms:
@@ -242,10 +264,12 @@ def _reduce_basis(basis, p, key):
     leaves every lead, with coefficient one, in place.
     """
     kept: list = []
+    masks: list = []  # `_support` of each kept lead
     for lead, terms in sorted(basis, key=lambda g: key(g[0])):
-        if not any(monomial_divides(h, lead) for h, _ in kept):
+        mask = _support(lead)
+        if not any(not h_mask & ~mask and monomial_divides(h, lead) for (h, _), h_mask in zip(kept, masks)):
             kept.append((lead, terms))
-    masks = [_support(lead) for lead, _ in kept]
+            masks.append(mask)
     return [
         (lead, _normal_form_terms(terms, kept[:idx] + kept[idx + 1 :], p, key, masks[:idx] + masks[idx + 1 :]))
         for idx, (lead, terms) in enumerate(kept)

@@ -400,16 +400,62 @@ def test_buchberger_matches_the_all_pairs_reference(seed, p, order):
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
-@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("seed", range(10))
 def test_buchberger_matches_the_all_pairs_reference_on_colon_inputs(seed, p):
     # tagged as in `_eliminate_intersection`: t*(m^k + L) + (1 - t)*(f), t the first variable
     rng = random.Random(8000 + 100 * p + seed)
-    ring = QuotientRing(p, ["x", "y", "z"], [] if seed % 2 else ["x*y - z^2"])
-    a = [g.terms for g in ring.power_of_maximal_ideal(rng.randint(1, 3)).generators + ring.relations]
-    f = _random_terms(rng, 3, p, 2, rng.randint(1, 3))
+    if seed < 8:
+        ring = QuotientRing(p, ["x", "y", "z"], [] if seed % 2 else ["x*y - z^2"])
+        k = rng.randint(1, 3)
+    else:
+        # mostly monomial: lcm classes mix free monomial pairs with pairs that are not free
+        ring = QuotientRing(p, ["x", "y", "z", "w"], [["x*y - z*w"], ["x*y - z^2", "y*w - x^2"]][seed % 2])
+        k = 3
+    a = [g.terms for g in ring.power_of_maximal_ideal(k).generators + ring.relations]
+    f = _random_terms(rng, ring.nvars, p, 2, rng.randint(1, 3))
     tagged = [{(1,) + m: c for m, c in g.items()} for g in a]
     tagged.append({**{(0,) + m: c for m, c in f.items()}, **{(1,) + m: -c % p for m, c in f.items()}})
     assert buchberger(tagged, p, key=elimination_key) == _all_pairs_buchberger(tagged, p, elimination_key)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_buchberger_matches_the_all_pairs_reference_past_64_variables(seed):
+    # leads x_a * x_64^e and x_b * x_65^e: support masks stop at 64 variables, so they look
+    # disjoint, but two leads on one high variable are not coprime and their pair must be reduced
+    rng = random.Random(9000 + seed)
+    nvars, p = 66, 3
+    low = rng.sample(range(64), 4)
+
+    def monomial(*exponents):
+        m = [0] * nvars
+        for v, e in exponents:
+            m[v] += e
+        return tuple(m)
+
+    gens = []
+    for a in low[:3]:
+        terms = {monomial((a, 1), (rng.choice([64, 65]), rng.randint(1, 2))): 1}
+        for _ in range(rng.randint(1, 2)):  # tail of degree at most 1, below the lead
+            terms[monomial((rng.choice(low + [64, 65]), rng.randint(0, 1)))] = rng.randint(1, p - 1)
+        gens.append(terms)
+    assert buchberger(gens, p) == _all_pairs_buchberger(gens, p, grevlex_key)
+
+
+def test_determinantal_colon_lemma_computes_few_lcms(monkeypatch):
+    # the pair update took the lcm of the new lead with every basis element: 86,085 lcms on the x11 colons
+    calls = [0]
+    monomial_lcm = ideals.monomial_lcm
+
+    def counted(a, b):
+        calls[0] += 1
+        return monomial_lcm(a, b)
+
+    monkeypatch.setattr(ideals, "monomial_lcm", counted)
+    code, document = run(
+        ["check", "--session", session_path("ex-determinantal.json"), "--name", "colon-lemma", "--x", "x11"]
+    )
+    assert code == 0 and document["report"]["results"]["verdict"] == "pass"
+    assert calls[0] < 20000
 
 
 def test_determinantal_colon_lemma_reduces_few_s_polynomials(monkeypatch):
