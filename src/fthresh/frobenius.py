@@ -2,17 +2,21 @@
 
 nu(a, J, e) is the largest t with a^t not contained in the bracket power
 J^[p^e] (computed through lifted ideals, so quotient presentations just
-work). Monomial data take an ascending sweep that reuses p * nu(p^(e-1)) as
-a verified warm start. When a is the maximal ideal, the sweep over degree t
-visits only the monomials that no monomial basis element of J^[q] divides:
+work). The bracket power contains L, so a^t + J^[q] = (a + L)^t + J^[q], and
+the kernel follows the reduced basis M of a + L rather than the generators
+of a. Monomial generators take an ascending sweep that reuses p * nu(p^(e-1))
+as a verified warm start. When a is the maximal ideal, the sweep over degree
+t visits only the monomials that no monomial basis element of J^[q] divides:
 the skipped ones lie in J^[q], so the first escaping monomial (the witness)
-is unchanged. Other data take the level chain: level t is a
-row-reduced basis, modulo J^[q], of the products of t generators of a, and
-the chain stops at the first empty level. The chain builds no product: it
-multiplies in normal-form space, through one table {m: NF(x^m * g)} per
-generator g (`Ideal.multiplier`, the multiplication matrices of FGLM) that
-lives for one chain. Each record carries a dual certificate that is
-re-checked on construction.
+is unchanged. Other generators take the same sweep on M when M is monomial,
+and the level chain otherwise: level t is a row-reduced basis, modulo J^[q],
+of the products of t generators of a, and the chain stops at the first
+empty level. The chain builds no product: it multiplies in normal-form
+space, through one table {m: NF(x^m * g)} per generator g
+(`Ideal.multiplier`, the multiplication matrices of FGLM) that lives for
+one chain. Either way the witness is the first escaping chain of a's own
+generators. Each record carries a dual certificate that is re-checked on
+construction.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from . import linalg
 from .graded import gr_of_ideal, gr_presentation
 from .ideals import Ideal
 from .linalg import _MAX_MATRIX_CELLS
-from .ring import Polynomial, QuotientRing, RingError, grevlex_key
+from .ring import Polynomial, QuotientRing, RingError, grevlex_key, monomial_divides
 
 
 @dataclass
@@ -43,14 +47,27 @@ class NuRecord:
     caveats: tuple = ()
 
     def verify(self, a: Ideal, target: Ideal) -> bool:
-        """Re-check both certificates against the bracket ideal."""
+        """Re-check both certificates against the bracket ideal.
+
+        The witness must lie outside the target, and a^(nu+1) inside it. With
+        M the monomial generators of a, or else the reduced basis of a + L
+        when that is monomial, a lies in (M) and the witness in (M)^nu, term
+        by term, and a sweep finds M^(nu+1) inside the target (which contains
+        L, so (M)^t + target = a^t + target). Any other a replays the level
+        chain.
+        """
         if self.nu < 0:
             return target.is_unit()
         if self.witness is None or target.contains_poly(self.witness):
             return False
-        if _all_monomial(a.generators):
-            return _first_escaping(a, self.nu + 1, target) is None
-        return len(_levels(a, target, [a.ring.one()])) - 1 == self.nu
+        basis = a if _all_monomial(a.generators) else a.basis_ideal()
+        if not _all_monomial(basis.generators):
+            return len(_levels(a, target, [a.ring.one()])) - 1 == self.nu
+        return (
+            all(_in_power(basis, 1, g) for g in a.generators)
+            and _in_power(basis, self.nu, self.witness)
+            and _first_escaping(basis, self.nu + 1, target) is None
+        )
 
 
 @dataclass
@@ -86,6 +103,14 @@ def _is_maximal_ideal(a: Ideal) -> bool:
 
 def _all_monomial(polys) -> bool:
     return all(len(g.terms) == 1 for g in polys)
+
+
+def _in_power(monomial_ideal: Ideal, t: int, f: Polynomial) -> bool:
+    """Whether every term of f lies in the t-th power of an ideal with monomial generators."""
+    if _is_maximal_ideal(monomial_ideal):
+        return all(sum(m) >= t for m in f.terms)
+    leads = [next(iter(g.terms)) for g in monomial_ideal.power_generators(t)]
+    return all(any(monomial_divides(lead, m) for lead in leads) for m in f.terms)
 
 
 def _first_escaping(a: Ideal, t: int, target: Ideal, seeds=None):
@@ -159,21 +184,21 @@ def _levels(a: Ideal, target: Ideal, seeds):
         rows = [times(row) for row in reduced for times in multipliers]
 
 
-def _chain_witness(a: Ideal, target: Ideal, levels):
-    """Product of the lexicographically first chain of len(levels) - 1 generators escaping the target.
+def _chain_witness(a: Ideal, target: Ideal, length: int, escapes):
+    """Product of the lexicographically first chain of `length` generators escaping the target.
 
     Built top-down: each factor is the first generator g such that the product
-    so far times g times some element of the level below still escapes. The
-    generators commute, so that chain never decreases in index, and each
-    search starts at the previous factor. Rows of the level below are tried
-    from the lowest pivot up, against the product reduced modulo the target.
+    so far times g, with r factors still to come, passes the step test
+    escapes(rest, r), "rest * a^r is not inside the target", where rest is
+    that product reduced modulo the target. The generators commute, so that
+    chain never decreases in index, and each search starts at the previous
+    factor.
     """
     witness, first = a.ring.one(), 0
-    for below in reversed(levels[:-1]):
+    for r in reversed(range(length)):
         for i in range(first, len(a.generators)):
             h = witness * a.generators[i]
-            rest = target.normal_form(h)
-            if any(not target.contains_poly(rest * f) for f in reversed(below)):
+            if escapes(target.normal_form(h), r):
                 witness, first = h, i
                 break
     return witness
@@ -197,18 +222,35 @@ def _check_preconditions(a: Ideal, J: Ideal):
 def _scan(a: Ideal, target: Ideal, warm_start: int | None = None, seeds=None):
     """max{t : a^t * (seeds) escapes target} as (t, witness, caveats); t = -1 if never.
 
-    All-monomial generators and seeds take the monomial sweep, which first
-    tries the warm start and falls back to t = 0 (caveat "warm-start-fallback")
-    when a^warm_start * (seeds) is already contained. Any other input takes
-    the level chain (`_levels`), which ignores the warm start: t is its number
-    of levels minus one, and only an unseeded scan builds a witness, the
-    product of the lexicographically first index chain of length t that
-    escapes (the seeded witness is None).
+    All-monomial generators and seeds take the monomial sweep on a itself,
+    which first tries the warm start and falls back to t = 0 (caveat
+    "warm-start-fallback") when a^warm_start * (seeds) is already contained.
+    Other generators take the same sweep on the reduced basis M of a + L when
+    M and the seeds are monomial (the target contains L, so a^t + target =
+    M^t + target), and the level chain (`_levels`) otherwise; both ignore the
+    warm start. Then only an unseeded scan builds a witness (`_chain_witness`),
+    whose step test "rest * a^r escapes" is asked of M^r, or of level r of
+    the chain: the answers agree, so the witness does not depend on the
+    kernel. The seeded witness is None.
     """
-    if not (_all_monomial(a.generators) and (seeds is None or _all_monomial(seeds))):
-        levels = _levels(a, target, [a.ring.one()] if seeds is None else seeds)
-        witness = _chain_witness(a, target, levels) if seeds is None and levels else None
-        return len(levels) - 1, witness, ()
+    monomial_seeds = seeds is None or _all_monomial(seeds)
+    if not (monomial_seeds and _all_monomial(a.generators)):
+        basis = a.basis_ideal()
+        if monomial_seeds and _all_monomial(basis.generators):
+            t = (_scan_monomial(basis, target, 0, seeds) or (-1,))[0]
+
+            def escapes(rest, r):
+                return _first_escaping(basis, r, target, [rest]) is not None
+
+        else:
+            levels = _levels(a, target, [a.ring.one()] if seeds is None else seeds)
+            t = len(levels) - 1
+
+            def escapes(rest, r):
+                return any(not target.contains_poly(rest * f) for f in reversed(levels[r]))
+
+        witness = _chain_witness(a, target, t, escapes) if seeds is None and t >= 0 else None
+        return t, witness, ()
     caveats = ()
     result = None
     if warm_start:

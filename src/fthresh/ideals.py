@@ -323,6 +323,7 @@ class Ideal:
         self._gb = None
         self._gb_leads = None
         self._monomial_elements = None
+        self._basis_ideal = None
         self._nf_memo: dict = {}
         self._bracket_cache: dict = {}
         self._power_cache: dict = {1: self.generators}
@@ -340,6 +341,12 @@ class Ideal:
             self._gb = tuple(Polynomial(self.ring, g) for _, g in self._gb_leads)
             self._monomial_elements = tuple(lead for lead, g in self._gb_leads if len(g) == 1)
         return self._gb
+
+    def basis_ideal(self) -> "Ideal":
+        """The same ideal of R on the reduced basis as its generators, one handle memoized on this one."""
+        if self._basis_ideal is None:
+            self._basis_ideal = Ideal(self.ring, self.groebner_basis())
+        return self._basis_ideal
 
     def normal_form(self, f: Polynomial) -> Polynomial:
         """Normal form of f modulo the reduced basis: the sum of c * NF(x^m) over the terms of f.

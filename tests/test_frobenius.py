@@ -18,7 +18,7 @@ from fthresh import (
 from fthresh import frobenius, linalg
 from fthresh.cli import Session
 from fthresh.ring import Polynomial, grevlex_key, monomials_of_degree
-from fthresh.verifier import random_m_primary, random_poly
+from fthresh.verifier import check_monotonicity, random_m_primary, random_poly
 from oracles import nu_monomial_oracle, simplest_rational_oracle
 
 
@@ -290,14 +290,15 @@ def test_empty_bracket_gives_no_guess():
 
 
 def test_nu_level_past_the_cell_bound_is_refused(regular2, monkeypatch):
-    # the widest level matrix of (x + y, y) modulo (x^4, y^4) reduces the 6
-    # products that make level 3, over the 4 monomials of degree 3
-    monkeypatch.setattr(frobenius, "_MAX_MATRIX_CELLS", 23)
-    a = Ideal(regular2, ["x + y", "y"])
-    with pytest.raises(RingError, match="6 x 4 cells exceeds 23"):
+    # the basis (y^2 + x, x*y, x^2) of a is not monomial, so the scan takes the
+    # level chain; its widest level matrix modulo (x^4, y^4) reduces the 6
+    # products that make level 3, over 5 monomials
+    monkeypatch.setattr(frobenius, "_MAX_MATRIX_CELLS", 29)
+    a = Ideal(regular2, ["x + y^2", "x*y"])
+    with pytest.raises(RingError, match="6 x 5 cells exceeds 29"):
         nu(a, regular2.maximal_ideal(), 2)
-    monkeypatch.setattr(frobenius, "_MAX_MATRIX_CELLS", 24)
-    assert nu(a, regular2.maximal_ideal(), 2).nu == 6
+    monkeypatch.setattr(frobenius, "_MAX_MATRIX_CELLS", 30)
+    assert nu(a, regular2.maximal_ideal(), 2).nu == 4
 
 
 FIXTURES = ["ex-regular", "ex-blowup", "ex-node4", "ex-determinantal", "ex-fermat-cubic", "ex-cusp"]
@@ -367,3 +368,137 @@ def test_maximal_ideal_scan_skips_monomials_in_the_bracket(monkeypatch):
     m = Session.load(session_path("ex-node4.json")).ring.maximal_ideal()
     threshold_estimate(m, m, 5)
     assert calls[0] < 1000
+
+
+# -- the kernel follows the reduced basis M of a + L ---------------------------
+
+CRITERION5_RINGS = [(2, []), (2, ["x*y"]), (3, []), (3, ["x*y"])]
+CRITERION5_IDS = ["gf2-regular", "gf2-node", "gf3-regular", "gf3-node"]
+
+
+def _criterion5_draw(p, relations, seed):
+    """The a, b, J and I that `check_monotonicity` draws for one trial."""
+    ring = QuotientRing(p, ["x", "y"], relations)
+    rng = random.Random(seed)
+    J = random_m_primary(rng, ring)
+    I = J + Ideal(ring, [random_poly(rng, ring)])
+    a = random_m_primary(rng, ring)
+    b = Ideal(ring, list(a.generators)[: rng.randint(1, len(a.generators))])
+    return a, b, J, I
+
+
+def _is_routed(a):
+    """Non-monomial generators, monomial M: the scan sweeps M instead of running the chain."""
+    return not frobenius._all_monomial(a.generators) and frobenius._all_monomial(a.groebner_basis())
+
+
+def _forced_chain(a, target):
+    """(nu, witness) of the level chain on a's own generators, whatever M is."""
+    levels = frobenius._levels(a, target, [a.ring.one()])
+
+    def escapes(rest, r):
+        return any(not target.contains_poly(rest * f) for f in reversed(levels[r]))
+
+    return len(levels) - 1, frobenius._chain_witness(a, target, len(levels) - 1, escapes)
+
+
+def _routed_records(p, relations, seeds):
+    """(a, target, record) for every routed nu call of criterion 5's trials, e = 1, 2, with its warm starts."""
+    out = []
+    for seed in seeds:
+        a, b, J, I = _criterion5_draw(p, relations, seed)
+        prev = None
+        for e in (1, 2):
+            for x, y in ((a, J), (a, I), (b, J)):
+                warm = p * prev.nu if prev is not None and (x, y) == (a, J) else None
+                record = nu(x, y, e, warm_start=warm)
+                if (x, y) == (a, J):
+                    prev = record
+                if _is_routed(x):
+                    out.append((x, y.bracket(p**e), record))
+    return out
+
+
+@pytest.mark.parametrize("p,relations", CRITERION5_RINGS, ids=CRITERION5_IDS)
+def test_routed_scan_matches_the_forced_chain(p, relations):
+    records = _routed_records(p, relations, range(10))
+    assert len(records) >= 25
+    for a, target, record in records:
+        value, witness = _forced_chain(a, target)
+        assert (record.nu, str(record.witness), record.caveats) == (value, str(witness), ())
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_relations_enter_the_basis_of_a_plus_L(p):
+    # x*y lies in M = (y^2, x*y, x^2) only through L; without L the basis of a is not monomial
+    ring = QuotientRing(p, ["x", "y"], ["x*y"])
+    a_gens = ["x^2 + x*y", "y^2 + x*y"]
+    a = Ideal(ring, a_gens)
+    assert not frobenius._all_monomial(Ideal(QuotientRing(p, ["x", "y"]), a_gens).groebner_basis())
+    assert sorted(str(g) for g in a.groebner_basis()) == ["x*y", "x^2", "y^2"]
+    for J_gens in (["x", "y"], ["x^2", "y"]):
+        J = Ideal(ring, J_gens)
+        for e in (1, 2, 3):
+            record = nu(a, J, e)
+            value, witness = _forced_chain(a, J.bracket(p**e))
+            assert (record.nu, str(record.witness), record.caveats) == (value, str(witness), ())
+
+
+def test_routed_records_off_by_one_fail_verify():
+    records = _routed_records(3, [], range(10))[:12]
+    assert records
+    for a, target, record in records:
+        assert record.verify(a, target)
+        for wrong in (record.nu - 1, record.nu + 1):
+            assert not frobenius.NuRecord(record.e, record.q, wrong, record.witness).verify(a, target)
+        inside = record.witness * target.generators[0]
+        assert not frobenius.NuRecord(record.e, record.q, record.nu, inside).verify(a, target)
+
+
+def test_gf3_seed7_scan_runs_no_level_chain(monkeypatch):
+    # M = (y, x): the scans and their verify replays ran the level chain four times
+    def refuse(*args):
+        raise AssertionError("the level chain ran")
+
+    monkeypatch.setattr(frobenius, "_levels", refuse)
+    ring = QuotientRing(3, ["x", "y"])
+    a = Ideal(ring, ["x^3", "x^2*y", "x*y^2", "y^3", "x*y + x + y", "2*x*y^2 + 2*x^2", "y^3 + x"])
+    J = Ideal(ring, ["x^2", "x*y", "y^2"])
+    first = nu(a, J, 1)
+    second = nu(a, J, 2, warm_start=3 * first.nu)
+    assert (first.nu, second.nu) == (7, 25)
+    digests = [hashlib.sha256(str(r.witness).encode()).hexdigest() for r in (first, second)]
+    assert digests == [
+        "333fb45015b553cc71e841aa60850dd458c4728bd9db209de67f2e19d3845fc3",
+        "66e91fd0b0684ddc6e70a8da2f307a91abbceab8574920356b8f3b4429ceb3dd",
+    ]
+
+
+def test_criterion5_trials_run_few_level_chains(monkeypatch):
+    # a chain per non-monomial a, scan and verify replay, came to 368 runs;
+    # 24 of those calls have a basis of a + L that is not monomial
+    calls = [0]
+    levels = frobenius._levels
+
+    def counted(*args):
+        calls[0] += 1
+        return levels(*args)
+
+    monkeypatch.setattr(frobenius, "_levels", counted)
+    for p in (2, 3):
+        for relations, trials in (([], 13), (["x*y"], 12)):
+            suite = check_monotonicity(QuotientRing(p, ["x", "y"], relations), trials, 2, 0)
+            assert suite.verdict == "pass"
+    assert calls[0] < 100
+
+
+@pytest.mark.parametrize("a_gens", [["x", "y"], ["x^2", "x*y", "y^2"], ["x^3", "2*y^2"]])
+def test_monomial_records_off_by_one_fail_verify(a_gens):
+    # the sweep of a^(nu+2) alone let a record claiming nu + 1 pass
+    ring = QuotientRing(3, ["x", "y"], ["x*y"])
+    a, m = Ideal(ring, a_gens), ring.maximal_ideal()
+    for e in (1, 2):
+        record, target = nu(a, m, e), m.bracket(3**e)
+        assert record.verify(a, target)
+        for wrong in (record.nu - 1, record.nu + 1):
+            assert not frobenius.NuRecord(record.e, record.q, wrong, record.witness).verify(a, target)
