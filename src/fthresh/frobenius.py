@@ -118,10 +118,15 @@ def _first_escaping(a: Ideal, t: int, target: Ideal, seeds=None):
 
     With a = m, only the target's candidate monomials g are tried: the others
     lie in the target, and so does g * s for every seed s, so the first
-    escaping product is the same.
+    escaping product is the same. Without seeds they are tested as exponent
+    tuples, and only the escaping one becomes a Polynomial.
     """
     if _is_maximal_ideal(a):
-        products = map(a.ring.monomial, target.candidate_monomials(t))
+        candidates = target.candidate_monomials(t)
+        if seeds is None:
+            u = next((u for u in candidates if not target.contains_monomial(u)), None)
+            return None if u is None else a.ring.monomial(u)
+        products = map(a.ring.monomial, candidates)
     else:
         products = a.power_generators(t)
     for g in products:

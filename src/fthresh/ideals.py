@@ -23,8 +23,12 @@ A normal form modulo a reduced basis is unique and linear, so a handle
 reduces each monomial once: `Ideal.normal_form(f)` is the sum of c * NF(x^m)
 over the terms of f, with NF(x^m) memoized per handle, keyed by exponent
 tuple. The basis never changes once computed, so the memo is never
-invalidated; it holds only monomials met while reducing, and a monomial that
-a monomial basis element divides maps at once to one shared empty result.
+invalidated; it holds only monomials met while reducing. Each monomial takes
+one scan of a reducer list built with the basis: the monomial elements
+first, then the others, each tail stored negated. The first divisor found
+settles it; a monomial element, with no tail, maps it at once to one shared
+empty result. A reduced basis gives unique normal forms, so which divisor
+reduces a monomial changes no result.
 Buchberger and `_reduce_basis` reduce against a reducer list that grows as
 they go, so they keep `_normal_form_terms`.
 """
@@ -34,6 +38,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
+from operator import le
 
 from . import linalg
 from .linalg import _MAX_MATRIX_CELLS
@@ -323,6 +328,7 @@ class Ideal:
         self._gb = None
         self._gb_leads = None
         self._monomial_elements = None
+        self._reducers = None
         self._basis_ideal = None
         self._nf_memo: dict = {}
         self._bracket_cache: dict = {}
@@ -340,6 +346,13 @@ class Ideal:
             self._gb_leads = tuple(buchberger(gen_terms, self.ring.p))
             self._gb = tuple(Polynomial(self.ring, g) for _, g in self._gb_leads)
             self._monomial_elements = tuple(lead for lead, g in self._gb_leads if len(g) == 1)
+            # (lead, pre-negated tail) of each element, the monomial elements first
+            p = self.ring.p
+            self._reducers = [(lead, ()) for lead in self._monomial_elements] + [
+                (lead, tuple((m, -c % p) for m, c in g.items() if m != lead))
+                for lead, g in self._gb_leads
+                if len(g) > 1
+            ]
         return self._gb
 
     def basis_ideal(self) -> "Ideal":
@@ -367,30 +380,33 @@ class Ideal:
 
         An explicit stack replaces recursion, since reduction chains can be
         thousands of steps long. A frame is expanded once into the tail of its
-        first dividing basis element (shifted, negated) and combined once all
-        of that tail's monomials, each smaller than it, are memoized.
+        first dividing reducer (shifted, already negated) and combined once all
+        of that tail's monomials, each smaller than it, are memoized. A reducer
+        with no tail is a monomial element, and its multiples reduce to zero.
         """
         memo = self._nf_memo
         if m in memo:
             return memo[m]
         self.groebner_basis()
         p = self.ring.p
+        reducers = self._reducers
         stack = [(m, None)]
         while stack:
             n, tail = stack.pop()
             if n in memo:
                 continue
             if tail is None:
-                if any(monomial_divides(g, n) for g in self._monomial_elements):
-                    memo[n] = _ZERO
-                    continue
-                reducer = next((r for r in self._gb_leads if monomial_divides(r[0], n)), None)
-                if reducer is None:
+                for lead, tail in reducers:
+                    if all(map(le, lead, n)):  # monomial_divides, inlined in this hot loop
+                        break
+                else:
                     memo[n] = {n: 1}
                     continue
-                lead, g_terms = reducer
+                if not tail:
+                    memo[n] = _ZERO
+                    continue
                 shift = monomial_div(n, lead)
-                tail = [(monomial_mul(gm, shift), -gc % p) for gm, gc in g_terms.items() if gm != lead]
+                tail = [(monomial_mul(gm, shift), c) for gm, c in tail]
                 stack.append((n, tail))
                 stack.extend((k, None) for k, _ in tail if k not in memo)
                 continue
@@ -399,6 +415,10 @@ class Ideal:
                 _add_scaled(out, memo[k], c, p)
             memo[n] = out
         return memo[m]
+
+    def contains_monomial(self, m) -> bool:
+        """Whether x^m, given by its exponent tuple, lies in the ideal."""
+        return not self._monomial_nf(m)
 
     def multiplier(self, g: Polynomial):
         """Multiplication by g in normal-form space: a function from a term dict f to NF(f * g).
@@ -465,18 +485,40 @@ class Ideal:
         return Ideal(self.ring, [f * g for f in self.generators for g in other.generators])
 
     def power_generators(self, t: int):
-        """Generators of the t-th ordinary power, deduplicated."""
+        """Generators of the t-th ordinary power: the products of t generators, in order, less redundant ones.
+
+        Level t + 1 multiplies each element f of level t by each generator g in
+        order, skipping a monomial g that an earlier generator divides and a
+        product that repeats an earlier one (a monomial up to its coefficient).
+        Every dropped product is a multiple of an earlier product of the full
+        list: f * g is one of f * g' when g' divides g, and the products of a
+        dropped f are multiples of those of the earlier element it is a
+        multiple of. So the list generates the same ideal, and its first
+        element outside any ideal, coefficient included, is that of the full
+        list: when a multiple of an earlier element lies outside, so does that
+        element, so the first element outside is never dropped, and the kept
+        elements keep their order.
+        """
         if t == 0:
             return (self.ring.one(),)
         known = max(k for k in self._power_cache if k <= t)
         gens = self._power_cache[known]
+        factors: list = []
+        leads: list = []  # exponents of the monomial factors
+        for g in self.generators:
+            if len(g.terms) == 1:
+                (m,) = g.terms
+                if any(monomial_divides(d, m) for d in leads):
+                    continue
+                leads.append(m)
+            factors.append(g)
         while known < t:
             seen = set()
             nxt = []
             for f in gens:
-                for g in self.generators:
+                for g in factors:
                     h = f * g
-                    hkey = frozenset(h.terms.items())
+                    hkey = next(iter(h.terms)) if len(h.terms) == 1 else frozenset(h.terms.items())
                     if hkey not in seen and not h.is_zero():
                         seen.add(hkey)
                         nxt.append(h)
@@ -589,7 +631,7 @@ class Ideal:
                 raise RingError("nilpotency degree requires an m-primary ideal")
             # m-primary, so some m^N lies inside and the loop ends
             N = 1
-            while not all(self.contains_poly(self.ring.monomial(m)) for m in self.candidate_monomials(N)):
+            while not all(self.contains_monomial(m) for m in self.candidate_monomials(N)):
                 N += 1
             self._nilpotency = N
         return self._nilpotency

@@ -113,23 +113,37 @@ def monomials_outside(gens, nvars: int, degree: int):
 
     The walk fixes one variable at a time and keeps only the gens that fit
     under the exponents fixed so far. A kept gen with nothing left in the
-    remaining variables divides every completion, so it caps the current
-    exponent below its own.
+    remaining variables divides every completion, so the node yields nothing.
+    A kept gen with one variable j left caps x_j below its own exponent. The
+    cap on the current variable bounds its exponent from above; when every
+    later variable is capped, the degree they can hold (the caps minus one,
+    summed) bounds it from below. A branch outside those bounds is cut before
+    it is entered: none of its completions escapes the gens.
     """
-    # each gen travels with the index of its last nonzero exponent (-1 for the zero tuple)
-    gens = [(g, max((i for i, e in enumerate(g) if e), default=-1)) for g in gens]
+    # each gen travels with the indices of its last two nonzero exponents (-1 where there are
+    # fewer): from index i on, its support is empty when last < i and {last} when prev < i <= last
+    supports = [[-1, -1] + [i for i, e in enumerate(g) if e] for g in gens]
+    gens = [(g, s[-1], s[-2]) for g, s in zip(gens, supports)]
 
-    def walk(i, left, live):
-        stop = min((g[i] for g, last in live if last <= i), default=left + 1)
-        if i == nvars - 1:
-            if left < stop:
-                yield (left,)
+    def walk(i, left, live, head):
+        caps: dict = {}  # variable j -> least exponent at j of a kept gen with only x_j left
+        for g, last, prev in live:
+            if prev < i:
+                if last < i:
+                    return
+                if g[last] < caps.get(last, left + 1):
+                    caps[last] = g[last]
+        top = min(left, caps.pop(i, left + 1) - 1)
+        low = left - sum(caps.values()) + len(caps) if len(caps) == nvars - i - 1 else 0
+        if top < low:
             return
-        for first in range(min(left, stop - 1), -1, -1):
-            for rest in walk(i + 1, left - first, [(g, last) for g, last in live if g[i] <= first]):
-                yield (first,) + rest
+        if i == nvars - 1:
+            yield head + (left,)
+            return
+        for first in range(top, max(low, 0) - 1, -1):
+            yield from walk(i + 1, left - first, [gen for gen in live if gen[0][i] <= first], head + (first,))
 
-    yield from walk(0, degree, gens)
+    yield from walk(0, degree, gens, ())
 
 
 def monomials_up_to_degree(nvars: int, degree: int):

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import random
@@ -502,3 +503,54 @@ def test_monomial_records_off_by_one_fail_verify(a_gens):
         assert record.verify(a, target)
         for wrong in (record.nu - 1, record.nu + 1):
             assert not frobenius.NuRecord(record.e, record.q, wrong, record.witness).verify(a, target)
+
+
+# -- monomial powers drop the products that earlier ones divide ---------------
+
+
+def _redundant_monomial_list(rng, ring):
+    """Monomial generators with coefficient duplicates (y^2, 2*y^2) and multiples of earlier ones (x*y^2 after x*y)."""
+    gens, size = [], rng.randint(2, 5)
+    while len(gens) < size:
+        exps = tuple(rng.randint(0, 2) for _ in range(ring.nvars))
+        if any(exps):
+            gens.append(ring.monomial(exps, rng.randint(1, ring.p - 1)))
+        if gens and rng.random() < 0.4:
+            gens.append(rng.choice(gens).scale(rng.randint(1, ring.p - 1)))
+        if gens and rng.random() < 0.4:
+            gens.append(rng.choice(gens) * rng.choice(ring.gens()))
+    return gens
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_lean_power_list_keeps_the_first_escaping_product(seed):
+    rng = random.Random(7000 + seed)
+    p = (2, 3, 5)[seed % 3]
+    ring = QuotientRing(p, ["x", "y", "z"][: 2 + seed % 2], rng.choice([[], ["x*y"], ["x^2 - y^3"]]))
+    a = Ideal(ring, _redundant_monomial_list(rng, ring))
+    target = random_m_primary(rng, ring).bracket(p)
+    for t in range(1, 5):
+        full = [functools.reduce(Polynomial.__mul__, chain) for chain in itertools.product(a.generators, repeat=t)]
+        lean = a.power_generators(t)
+        first = next((h.terms for h in full if not target.contains_poly(h)), None)
+        assert next((h.terms for h in lean if not target.contains_poly(h)), None) == first
+        assert a.power(t).equals(Ideal(ring, full))
+
+
+def test_redundant_monomial_generators_cost_few_products(monkeypatch):
+    # criterion-5 GF(3) trial 6 has a = (x^2, x*y, y^2, 2*y^2, x*y^2); multiplying out
+    # every generator took 18,751 products, skipping 2*y^2 and x*y^2 about 1,700
+    a, _, J, _ = _criterion5_draw(3, [], 6)
+    assert [str(g) for g in a.generators] == ["x^2", "x*y", "y^2", "2*y^2", "x*y^2"]
+    first = nu(a, J, 1)
+    calls = [0]
+    mul = Polynomial.__mul__
+
+    def counted(f, g):
+        calls[0] += 1
+        return mul(f, g)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counted)
+    second = nu(a, J, 2, warm_start=3 * first.nu)
+    assert (first.nu, second.nu, str(second.witness)) == (5, 17, "x^17*y^17")
+    assert calls[0] < 4000

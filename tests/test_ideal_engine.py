@@ -8,8 +8,8 @@ from fthresh import Ideal, QuotientRing, RingError, ring_dimension
 from fthresh import ideals
 from fthresh.cli import run
 from fthresh.ideals import buchberger
-from fthresh.ring import elimination_key, grevlex_key, monomial_divides
-from fthresh.verifier import check_theorem_A_randomized
+from fthresh.ring import elimination_key, grevlex_key, monomial_divides, monomials_of_degree
+from fthresh.verifier import check_theorem_A_randomized, random_m_primary
 from conftest import session_path
 from oracles import macaulay_member
 
@@ -276,6 +276,21 @@ def test_memoized_normal_form_matches_direct_reduction(seed, p, relations, m_pri
     monomial_elements = [lead for lead, g in basis if len(g) == 1]
     for m, nf in warm._nf_memo.items():
         assert (nf is ideals._ZERO) == any(monomial_divides(g, m) for g in monomial_elements)
+
+
+@pytest.mark.parametrize("relations", [(), ("x*y",), ("x^2 - y^3",)], ids=["polynomial", "node", "cusp"])
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("seed", range(3))
+def test_contains_monomial_is_membership_of_the_monomial(seed, p, relations):
+    rng = random.Random(3000 * p + 10 * seed + len(relations))
+    ring = QuotientRing(p, ["x", "y", "z"], relations)
+    ideal = random_m_primary(rng, ring)
+    fresh = Ideal(ring, ideal.generators)  # a handle of its own, so the two memos fill apart
+    monomials = [m for d in range(9) for m in monomials_of_degree(3, d)]
+    answers = [ideal.contains_monomial(m) for m in rng.sample(monomials, len(monomials))]
+    assert any(answers) and not all(answers)
+    for m in monomials:
+        assert ideal.contains_monomial(m) == fresh.contains_poly(ring.monomial(m))
 
 
 @pytest.mark.parametrize("relations", [(), ("x*y",), ("x^2 - y^3",)], ids=["polynomial", "node", "cusp"])

@@ -182,6 +182,38 @@ def test_monomials_outside_is_the_filtered_sweep(case):
     assert list(monomials_outside(gens, nvars, degree)) == expected
 
 
+@st.composite
+def m_primary_staircases(draw):
+    """A pure power of every variable plus mixed gens, at a degree up to past the top of the staircase."""
+    nvars = draw(st.integers(1, 4))
+    powers = draw(st.lists(st.integers(1, 7), min_size=nvars, max_size=nvars))
+    gens = [tuple(e if j == i else 0 for j in range(nvars)) for i, e in enumerate(powers)]
+    gens += draw(st.lists(st.tuples(*[st.integers(0, 5)] * nvars), max_size=6))
+    gens = draw(st.permutations(gens))
+    top = sum(powers) - nvars  # the largest degree outside the pure powers
+    return gens, nvars, draw(st.integers(0, top + 3))
+
+
+# a captured theoremA-suite staircase; nothing lies outside it at degree 43
+_THEOREM_A_STAIRCASE = [
+    (0, 0, 0, 27), (0, 0, 9, 9), (0, 0, 27, 0), (0, 9, 0, 18), (0, 9, 18, 0), (0, 18, 0, 9),
+    (0, 18, 9, 0), (0, 27, 0, 0), (1, 1, 0, 1), (9, 0, 0, 18), (9, 0, 18, 0), (9, 9, 9, 0),
+    (9, 18, 0, 0), (18, 0, 0, 9), (18, 0, 9, 0), (18, 9, 0, 0), (27, 0, 0, 0),
+]
+
+
+@given(m_primary_staircases())
+@example((_THEOREM_A_STAIRCASE, 4, 43))
+@example(([(3, 0), (0, 2), (1, 1)], 2, 4))
+@settings(max_examples=300, deadline=None)
+def test_monomials_outside_cuts_m_primary_staircases_exactly(case):
+    gens, nvars, degree = case
+    expected = [
+        m for m in monomials_of_degree(nvars, degree) if not any(monomial_divides(g, m) for g in gens)
+    ]
+    assert list(monomials_outside(gens, nvars, degree)) == expected
+
+
 def test_ring_mismatch_raises():
     r1 = QuotientRing(2, ["x", "y"])
     r2 = QuotientRing(3, ["x", "y"])
