@@ -30,7 +30,8 @@ print("(m^3 : x) == m^2?", m3.colon(ring.parse("x")).equals(ring.power_of_maxima
 box = Ideal(ring, ["x^2", "y^3"])
 print("(x^2, y^3) m-primary?", box.is_m_primary(), " N =", box.nilpotency_degree())
 
-# socle of an Artinian quotient: the last nonzero fiber of multiplication
+# socle of an Artinian quotient: the last nonzero fiber of multiplication,
+# returned as a tuple of normal forms
 fermat = QuotientRing(2, ["x", "y", "z"], ["x^3 + y^3 + z^3"])
 params = Ideal(fermat, ["x", "y"])
-print("socle of R/(x,y) on the Fermat cone:", [str(r) for r in params.socle().representatives])
+print("socle of R/(x,y) on the Fermat cone:", [str(r) for r in params.socle()])

@@ -23,13 +23,14 @@ ambient = QuotientRing(2, ["x", "y", "z", "w"])
 print("ord(x*y - z^2*w) =", ord_of(ambient.parse("x*y - z^2*w"), ambient, 8))
 print("in(x*y - z^2*w)  =", initial_form(ambient.parse("x*y - z^2*w"), ambient, 8))
 
-# so the tangent cone of the blow-up fixture is the node k[x,y,z,w]/(xy)
-pres = gr_presentation(blowup)
-print("in(L) =", [str(g) for g in pres.initial_relations])
+# so the tangent cone of the blow-up fixture is the node k[x,y,z,w]/(xy): a ring
+# S/in(L) of its own, built once per ring and returned by every later call
+graded = gr_presentation(blowup)
+print("in(L) =", [str(g) for g in graded.relations])
 
 # Hilbert data certifies such claims: dimensions of m^i/m^{i+1}
-print("hilbert of R      :", hilbert_data(blowup, 4).values)
-print("hilbert of S/in(L):", hilbert_data(pres.graded_ring, 4).values)
+print("hilbert of R      :", hilbert_data(blowup, 4))
+print("hilbert of S/in(L):", hilbert_data(graded, 4))
 
 # three relations, none principal or homogeneous: the cone has generators of
 # degree 7 that no truncation below 7 would see
@@ -38,7 +39,7 @@ det = QuotientRing(
     ["x11", "x12", "x13", "x21", "x22", "x23"],
     ["x11*x22 - x12*x21 + x11*x12*x13*x21*x22*x23", "x11*x23 - x13*x21", "x12*x23 - x13*x22"],
 )
-print("in(L) of det:", [str(g) for g in gr_presentation(det).initial_relations])
+print("in(L) of det:", [str(g) for g in gr_presentation(det).relations])
 print("dim R_m =", det.dimension)
 
 # claim verification = realizability of each generator as an initial form
@@ -51,6 +52,6 @@ print("claim (z^2*w):", bad.passed, "|", bad.reason)
 # relations can hide initial forms of ideals: in(x + y^2) = x but y^5 survives
 plane = QuotientRing(2, ["x", "y"])
 shifted = Ideal(plane, ["x + y^2", "y^5"])
-cone = gr_of_ideal(shifted, gr_presentation(plane))
-target = Ideal(cone.ring, ["x", "y^5"])
-print("gr(x + y^2, y^5) == (x, y^5)?", cone.equals(target))
+initial = gr_of_ideal(shifted)
+target = Ideal(gr_presentation(plane), ["x", "y^5"])
+print("gr(x + y^2, y^5) == (x, y^5)?", initial.equals(target))

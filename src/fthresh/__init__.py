@@ -27,8 +27,6 @@ from .fsing import (
 )
 from .graded import (
     AtLeast,
-    GradedPresentation,
-    HilbertData,
     gr_of_ideal,
     gr_presentation,
     hilbert_data,
@@ -36,11 +34,10 @@ from .graded import (
     ord_of,
     verify_gr_claim,
 )
-from .ideals import Ideal, SocleBasis, ring_dimension
+from .ideals import Ideal, ring_dimension
 from .ring import (
     ParseError,
     Polynomial,
-    PrimeField,
     QuotientRing,
     RingError,
     parse_poly,
@@ -60,16 +57,12 @@ __all__ = [
     "CheckReport",
     "FptEstimate",
     "FRationalReport",
-    "GradedPresentation",
-    "HilbertData",
     "Ideal",
     "NuRecord",
     "ParseError",
     "Polynomial",
-    "PrimeField",
     "QuotientRing",
     "RingError",
-    "SocleBasis",
     "TcVerdict",
     "ThresholdEstimate",
     "check_colon_lemma",

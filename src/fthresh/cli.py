@@ -231,8 +231,7 @@ def _cmd_colon(session, args):
 
 
 def _cmd_socle(session, args):
-    basis = session.ideal(args.a).socle()
-    return 0, {"representatives": [str(r) for r in basis.representatives]}
+    return 0, {"representatives": [str(r) for r in session.ideal(args.a).socle()]}
 
 
 def _option(session, value, key, default=None):
@@ -256,19 +255,17 @@ def _cmd_initial(session, args):
 
 
 def _cmd_gr(session, args):
-    pres = gr_presentation(session.ring)
-    return 0, {"exact": True, "initial_relations": [str(g) for g in pres.initial_relations]}
+    return 0, {"exact": True, "initial_relations": [str(g) for g in gr_presentation(session.ring).relations]}
 
 
 def _cmd_gr_ideal(session, args):
-    pres = gr_presentation(session.ring)
-    result = gr_of_ideal(session.ideal(args.a), pres)
+    result = gr_of_ideal(session.ideal(args.a))
     return 0, {"exact": True, "generators": [str(g) for g in result.generators]}
 
 
 def _cmd_hilbert(session, args):
     D = _option(session, args.degree, "D", 6)
-    return 0, {"values": hilbert_data(session.ring, D).values}
+    return 0, {"values": hilbert_data(session.ring, D)}
 
 
 def _cmd_verify_gr(session, args):

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .graded import gr_of_ideal, gr_presentation
+from .graded import gr_of_ideal
 from .ideals import Ideal
 from .linalg import _MAX_MATRIX_CELLS
 from .ring import Polynomial, QuotientRing, RingError, grevlex_key, monomial_divides
@@ -97,8 +97,9 @@ class ThresholdEstimate:
 
 
 def _is_maximal_ideal(a: Ideal) -> bool:
-    vars_terms = {frozenset(v.terms.items()) for v in a.ring.gens()}
-    return {frozenset(g.terms.items()) for g in a.generators} == vars_terms
+    ring = a.ring
+    variables = ring.cached("variable terms", lambda: {frozenset(v.terms.items()) for v in ring.gens()})
+    return {frozenset(g.terms.items()) for g in a.generators} == variables
 
 
 def _all_monomial(polys) -> bool:
@@ -379,10 +380,9 @@ def verify_theorem_A(ring: QuotientRing, b: Ideal, e_max: int) -> TheoremAReport
     """Check nu^b_m(p^e) <= nu^I_n(p^e) for e <= e_max, I the initial ideal of b."""
     if not b.is_m_primary():
         raise RingError("b must be m-primary")
-    presentation = gr_presentation(ring)
-    graded_b = gr_of_ideal(b, presentation)
+    graded_b = gr_of_ideal(b)
     local = threshold_estimate(ring.maximal_ideal(), b, e_max)
-    graded = threshold_estimate(presentation.graded_ring.maximal_ideal(), graded_b, e_max)
+    graded = threshold_estimate(graded_b.ring.maximal_ideal(), graded_b, e_max)
     caveats = tuple(local.caveats) + tuple(graded.caveats)
     for loc, grd in zip(local.records, graded.records):
         if loc.nu > grd.nu:

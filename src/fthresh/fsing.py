@@ -280,12 +280,12 @@ def f_rational_probe(
         raise RingError("J must be generated by dim(R) elements and be m-primary")
     socle = J.socle()
     caveats = []
-    if len(socle.representatives) > 1:
+    if len(socle) > 1:
         caveats.append("socle-basis-only")
     probes = []
     all_certified = True
     assumptions: tuple = ()
-    for u in socle.representatives:
+    for u in socle:
         verdict = tc_member(u, J, c, e_max, assume_domain)
         assumptions = verdict.assumptions
         if not verdict.certified():

@@ -46,25 +46,6 @@ class TruncationError(RingError):
 
 
 @dataclass
-class HilbertData:
-    """h_i = dim_k (m^i + L)/(m^{i+1} + L) for i = 0..D."""
-
-    values: list
-
-
-@dataclass
-class GradedPresentation:
-    """Presentation of the associated graded ring as S/in(L)."""
-
-    ring: QuotientRing
-    graded_ring: QuotientRing
-
-    @property
-    def initial_relations(self):
-        return self.graded_ring.relations
-
-
-@dataclass
 class GrClaimReport:
     passed: bool
     reason: str
@@ -172,23 +153,26 @@ def _pieces(ring: QuotientRing, gen_polys, D: int):
 # -- graded presentations --------------------------------------------------------
 
 
-def gr_presentation(ring: QuotientRing) -> GradedPresentation:
-    """Present gr_m(R) as S/in(L), exactly, by t-saturation.
+def gr_presentation(ring: QuotientRing) -> QuotientRing:
+    """gr_m(R) presented as S/in(L), exactly, by t-saturation; built once per ring.
 
     On exponents (s, x, t), the s-free elements of the basis of (g*, 1 - s*t) under the
     elimination order generate (g*) : t^oo, whose elements at t = 0 are the initial forms of L.
     """
-    n = ring.nvars
-    starred = [
-        {(0,) + m + (sum(m) - g.min_degree(),): c for m, c in g.terms.items()} for g in ring.relations
-    ]
-    inverse = {(0,) * (n + 2): 1, (1,) + (0,) * n + (1,): ring.p - 1}
-    basis = buchberger(starred + [inverse], ring.p, key=elimination_key)
-    at_zero = (
-        {m[1:-1]: c for m, c in terms.items() if m[-1] == 0} for lead, terms in basis if lead[0] == 0
-    )
-    graded = QuotientRing(ring.p, ring.variables, [ring.from_terms(t) for t in at_zero if t])
-    return GradedPresentation(ring, graded)
+
+    def build():
+        n = ring.nvars
+        starred = [
+            {(0,) + m + (sum(m) - g.min_degree(),): c for m, c in g.terms.items()} for g in ring.relations
+        ]
+        inverse = {(0,) * (n + 2): 1, (1,) + (0,) * n + (1,): ring.p - 1}
+        basis = buchberger(starred + [inverse], ring.p, key=elimination_key)
+        at_zero = (
+            {m[1:-1]: c for m, c in terms.items() if m[-1] == 0} for lead, terms in basis if lead[0] == 0
+        )
+        return QuotientRing(ring.p, ring.variables, [ring.from_terms(t) for t in at_zero if t])
+
+    return ring.cached("cone", build)
 
 
 def _initial_terms(a: Ideal) -> list:
@@ -205,14 +189,12 @@ def _initial_terms(a: Ideal) -> list:
     return [t for piece in pieces.values() for t in piece] + [{m: 1} for m in monomials]
 
 
-def gr_of_ideal(a: Ideal, presentation: GradedPresentation) -> Ideal:
-    """Initial ideal in(a + L) of an m-primary ideal a, as an ideal of gr_m(R) = S/in(L)."""
-    ring = presentation.ring
-    if a.ring != ring:
-        raise RingError("ideal belongs to a different presentation")
+def gr_of_ideal(a: Ideal) -> Ideal:
+    """Initial ideal in(a + L) of an m-primary ideal a, as an ideal of the cone gr_presentation(a.ring)."""
     if not a.is_m_primary():
         raise RingError("initial ideals are computed for m-primary ideals only")
-    graded = presentation.graded_ring
+    ring = a.ring
+    graded = gr_presentation(ring)
     # homogeneous a and L give in(a + L) = a + L, generated modulo in(L) by a's own generators.
     # The matrix path gives the same ideal of S/in(L) but not of S (ex-fermat-cubic `gr-ideal
     # --a J`: (x, y) here, (y, x, z^3) there), and perfbench/workloads._fingerprint compares
@@ -228,7 +210,7 @@ def gr_of_ideal(a: Ideal, presentation: GradedPresentation) -> Ideal:
 # -- Hilbert data ------------------------------------------------------------------
 
 
-def hilbert_data(ring: QuotientRing, D: int) -> HilbertData:
+def hilbert_data(ring: QuotientRing, D: int) -> list:
     """Filtration dimensions h_i = dim (m^i+L)/(m^{i+1}+L) through degree D.
 
     h_i is the number of degree-i monomials minus dim in(L)_i, from the relations' one Macaulay matrix.
@@ -236,7 +218,7 @@ def hilbert_data(ring: QuotientRing, D: int) -> HilbertData:
     if D < 0:
         raise RingError("D must be nonnegative")
     pieces = _pieces(ring, list(ring.relations), D)
-    return HilbertData([math.comb(d + ring.nvars - 1, d) - len(pieces[d]) for d in range(D + 1)])
+    return [math.comb(d + ring.nvars - 1, d) - len(pieces[d]) for d in range(D + 1)]
 
 
 # -- claim verification ---------------------------------------------------------------
@@ -268,7 +250,7 @@ def verify_gr_claim(claimed, ring: QuotientRing, D: int | None = None) -> GrClai
     ambient = QuotientRing(ring.p, ring.variables)
     claimed_ideal = Ideal(ambient, [transfer(g, ambient) for g in claimed_polys])
     h_claimed = [len(claimed_ideal.standard_monomials_of_degree(d)) for d in range(D + 1)]
-    h_ring = hilbert_data(ring, D).values
+    h_ring = hilbert_data(ring, D)
     if h_claimed != h_ring:
         return GrClaimReport(
             False,

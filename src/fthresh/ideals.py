@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass
 from operator import le
 
 from . import linalg
@@ -295,13 +294,6 @@ def _add_scaled(out, terms, c, p):
             out[t] = v
         else:
             del out[t]
-
-
-@dataclass(frozen=True)
-class SocleBasis:
-    """k-basis of (A : m)/A, each representative a normal form against A."""
-
-    representatives: tuple
 
 
 class Ideal:
@@ -659,8 +651,8 @@ class Ideal:
         self.groebner_basis()
         return monomials_outside(self._monomial_elements, self.ring.nvars, degree)
 
-    def socle(self) -> SocleBasis:
-        """Basis of (self : m)/self via multiplication-map kernels on the staircase."""
+    def socle(self) -> tuple:
+        """k-basis of (self : m)/self as normal forms, via multiplication-map kernels on the staircase."""
         if not self.is_m_primary():
             raise RingError("socle requires an m-primary ideal")
         std = self.standard_monomials()
@@ -683,7 +675,7 @@ class Ideal:
         kernel = linalg.kernel(rows, self.ring.p)
         reps = [Polynomial(self.ring, {m: c for m, c in zip(std, x) if c}) for x in kernel]
         reps.sort(key=lambda f: grevlex_key(_leading(f.terms, grevlex_key)))
-        return SocleBasis(tuple(reps))
+        return tuple(reps)
 
     def __repr__(self):
         gens = ", ".join(str(g) for g in self.generators) or "0"

@@ -1,7 +1,7 @@
 """Exact multivariate polynomial arithmetic over prime fields.
 
 Everything downstream (Groebner bases, nu-scans, tangent cones) runs on the
-types in this module: a prime field GF(p), monomials under a fixed
+types in this module: GF(p) coefficients in [0, p), monomials under a fixed
 degree-reverse-lexicographic order, immutable polynomials with canonical
 term dictionaries, and quotient-ring presentations R = S/L regarded locally
 at the ideal generated by the variables.
@@ -38,34 +38,6 @@ def _is_prime(n: int) -> bool:
             return False
         f += 2
     return True
-
-
-class PrimeField:
-    """GF(p) with canonical representatives in [0, p), p at most 2^16."""
-
-    __slots__ = ("p",)
-
-    def __init__(self, p: int):
-        if not isinstance(p, int) or not (2 <= p <= 1 << 16):
-            raise RingError(f"characteristic must be an integer in [2, 2^16], got {p!r}")
-        if not _is_prime(p):
-            raise RingError(f"characteristic {p} is not prime")
-        self.p = p
-
-    def inv(self, a: int) -> int:
-        a %= self.p
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0 in GF(p)")
-        return pow(a, self.p - 2, self.p)
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("PrimeField", self.p))
-
-    def __repr__(self):
-        return f"GF({self.p})"
 
 
 def grevlex_key(exponents):
@@ -307,7 +279,10 @@ class QuotientRing:
     """
 
     def __init__(self, p: int, variables, relations=()):
-        self.field = PrimeField(p)
+        if not isinstance(p, int) or not (2 <= p <= 1 << 16):
+            raise RingError(f"characteristic must be an integer in [2, 2^16], got {p!r}")
+        if not _is_prime(p):
+            raise RingError(f"characteristic {p} is not prime")
         self.p = p
         names = tuple(variables)
         if len(names) == 0:
@@ -417,7 +392,7 @@ class QuotientRing:
         from .graded import gr_presentation
         from .ideals import ring_dimension
 
-        return self.cached("dimension", lambda: ring_dimension(gr_presentation(self).graded_ring))
+        return self.cached("dimension", lambda: ring_dimension(gr_presentation(self)))
 
     def __repr__(self):
         if self.relations:

@@ -16,8 +16,8 @@ from .frobenius import _check_generators_in_m, nu, verify_theorem_A
 from .graded import (
     AtLeast,
     _initial_terms,
+    _order_and_form,
     gr_presentation,
-    initial_form,
     ord_of,
 )
 from .ideals import Ideal, zero_ideal
@@ -65,13 +65,12 @@ def check_colon_lemma(ring: QuotientRing, x: Polynomial, n_max: int) -> CheckRep
         raise RingError("n_max must be at least 0")
     inputs = {"ring": repr(ring), "x": str(x), "n_max": n_max}
     # the rank test reads degrees <= n_max + 2 only
-    r = ord_of(x, ring, n_max + 2)
+    r, form = _order_and_form(x, ring, n_max + 2)
     if isinstance(r, AtLeast) or r != 1:
         return CheckReport(
             "colon-lemma", "inconclusive", inputs, details={"reason": f"ord(x) = {r}, expected 1"}
         )
-    form = initial_form(x, ring, n_max + 2)
-    graded = gr_presentation(ring).graded_ring
+    graded = gr_presentation(ring)
     if not _multiplication_injective_through(graded, transfer(form, graded), n_max + 1):
         return CheckReport(
             "colon-lemma",

@@ -5,7 +5,7 @@ import time
 import pytest
 
 from conftest import session_path
-from fthresh import RingError
+from fthresh import Ideal, RingError, frobenius, gr_presentation
 from fthresh.cli import Session, UsageError, emit_nu_table, main, read_nu_table, run
 from fthresh.frobenius import threshold_estimate
 
@@ -109,6 +109,33 @@ def test_verify_thmA_on_blowup():
     )
     assert code == 0
     assert report["results"]["verdict"] == "pass"
+
+
+def test_verify_thmA_fail_exits_1_with_the_counterexample(monkeypatch):
+    # a unit initial ideal makes every graded nu -1, below every local nu
+    monkeypatch.setattr(frobenius, "gr_of_ideal", lambda b: Ideal(gr_presentation(b.ring), ["1"]))
+    code, report = run_report(
+        ["verify-thmA", "--session", session_path("ex-blowup.json"), "--b", "b", "--e-max", "2"]
+    )
+    results = report["results"]
+    assert code == 1 and results["verdict"] == "fail"
+    assert results["reason"] == "nu^b_m exceeded nu^I_n; implementation bug"
+    assert results["nu_table"] == [[1, 2, 3, -1], [2, 4, 8, -1]]
+    assert results["counterexample"] == {"e": 1, "q": 2, "nu_local": 3, "nu_graded": -1, "witness": "x*z*w"}
+
+
+def test_nf_subcommand():
+    code, report = run_report(
+        ["nf", "--session", session_path("ex-cusp.json"), "--x", "x + y^2 + x*y", "--a", "J"]
+    )
+    assert code == 0 and report["results"] == {"normal_form": "x"}
+
+
+@pytest.mark.parametrize("degree,bound", [([], 8), (["--degree", "4"], 4)])
+def test_ord_of_a_relation_is_at_least_the_cutoff(degree, bound):
+    # x^2 - y^3 lies in L, so its order is at least every cutoff (the session's D is 8)
+    code, report = run_report(["ord", "--session", session_path("ex-cusp.json"), "--x", "x^2 - y^3"] + degree)
+    assert code == 0 and report["results"] == {"at_least": bound}
 
 
 def test_usage_errors():

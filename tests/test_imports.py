@@ -10,6 +10,8 @@ definition, so a replaced helper cannot stay behind. Only `self` has its
 attributes assigned or its private attributes read: another object's state is
 reached through its methods. Every entry point that `perfbench/tracer.py`
 wraps resolves in the package, so a rename cannot break the traced runs.
+`fthresh.__all__` lists exactly the names `__init__.py` imports, so a deleted
+type cannot stay exported.
 """
 
 import ast
@@ -17,6 +19,8 @@ import importlib
 from pathlib import Path
 
 import pytest
+
+import fthresh
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "fthresh"
 MODULES = sorted(path for path in SRC.glob("*.py") if path.name != "__init__.py")
@@ -97,6 +101,28 @@ def test_unreferenced_private_definition_is_reported():
     first = "def _used():\n    pass\n\ndef _recursive(n):\n    return _recursive(n - 1)\n"
     second = "class _Unused:\n    pass\n\ndef public():\n    return mod._used()\n"
     assert unreferenced_private([first, second]) == ["_recursive", "_Unused"]
+
+
+def package_imports(source: str):
+    """Names the package's relative imports bind, in source order."""
+    return [
+        alias.asname or alias.name
+        for node in ast.parse(source).body
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names
+    ]
+
+
+def test_exports_are_exactly_the_imported_names():
+    # a deleted or renamed name cannot stay behind in __all__, and no import goes unexported
+    imported = package_imports((SRC / "__init__.py").read_text())
+    assert len(fthresh.__all__) == len(set(fthresh.__all__))
+    assert sorted(fthresh.__all__) == sorted(imported)
+
+
+def test_package_imports_are_read():
+    source = "from __future__ import annotations\nimport os\nfrom .ring import QuotientRing, parse_poly as parse\n"
+    assert package_imports(source) == ["QuotientRing", "parse"]
 
 
 def test_numpy_import_is_found():

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fthresh import ParseError, PrimeField, QuotientRing, RingError, parse_poly
+from fthresh import ParseError, QuotientRing, RingError, parse_poly
 from fthresh.ring import (
     MAX_EXPONENT,
     grevlex_key,
@@ -49,11 +49,11 @@ def test_parse_exponent_overflow():
 
 
 def test_prime_field_rejects_composites():
-    with pytest.raises(RingError):
-        PrimeField(9)
-    with pytest.raises(RingError):
-        PrimeField(1)
-    assert PrimeField(65521).inv(2) == (65521 + 1) // 2
+    with pytest.raises(RingError, match="characteristic 9 is not prime"):
+        QuotientRing(9, ["x"])
+    with pytest.raises(RingError, match=r"characteristic must be an integer in \[2, 2\^16\]"):
+        QuotientRing(1, ["x"])
+    assert QuotientRing(65521, ["x"]).p == 65521
 
 
 def test_relation_must_not_be_a_unit():
