@@ -23,12 +23,16 @@ A normal form modulo a reduced basis is unique and linear, so a handle
 reduces each monomial once: `Ideal.normal_form(f)` is the sum of c * NF(x^m)
 over the terms of f, with NF(x^m) memoized per handle, keyed by exponent
 tuple. The basis never changes once computed, so the memo is never
-invalidated; it holds only monomials met while reducing. Each monomial takes
-one scan of a reducer list built with the basis: the monomial elements
-first, then the others, each tail stored negated. The first divisor found
-settles it; a monomial element, with no tail, maps it at once to one shared
-empty result. A reduced basis gives unique normal forms, so which divisor
-reduces a monomial changes no result.
+invalidated; it holds only monomials met while reducing. The reducer list
+is built with the basis: the monomial elements first, then the others, each
+tail stored negated. Its leads get one `ring.DivisorIndex`, built the first
+time a monomial is reduced or a staircase walked, never for a handle that
+only needs its basis. A monomial's divisors among the leads are then one
+bitmask, a few integer ANDs; the lowest set bit settles it, and a monomial
+element, with no tail, maps it at once to one shared empty result. The same
+index walks the staircase, with every lead live, or with only the monomial
+elements live for the candidates of a sweep. A reduced basis gives unique
+normal forms, so which divisor reduces a monomial changes no result.
 Buchberger and `_reduce_basis` reduce against a reducer list that grows as
 they go, so they keep `_normal_form_terms`.
 """
@@ -37,11 +41,11 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from operator import le
 
 from . import linalg
 from .linalg import _MAX_MATRIX_CELLS
 from .ring import (
+    DivisorIndex,
     Polynomial,
     QuotientRing,
     RingError,
@@ -51,7 +55,6 @@ from .ring import (
     monomial_divides,
     monomial_lcm,
     monomial_mul,
-    monomials_outside,
 )
 
 
@@ -321,6 +324,7 @@ class Ideal:
         self._gb_leads = None
         self._monomial_elements = None
         self._reducers = None
+        self._index = None
         self._basis_ideal = None
         self._nf_memo: dict = {}
         self._bracket_cache: dict = {}
@@ -372,14 +376,16 @@ class Ideal:
 
         An explicit stack replaces recursion, since reduction chains can be
         thousands of steps long. A frame is expanded once into the tail of its
-        first dividing reducer (shifted, already negated) and combined once all
-        of that tail's monomials, each smaller than it, are memoized. A reducer
-        with no tail is a monomial element, and its multiples reduce to zero.
+        first dividing reducer, the lowest bit of its divisor mask (shifted,
+        already negated), and combined once all of that tail's monomials,
+        each smaller than it, are memoized. A reducer with no tail is a
+        monomial element, and its multiples reduce to zero.
         """
         memo = self._nf_memo
         if m in memo:
             return memo[m]
-        self.groebner_basis()
+        index = self._divisor_index()
+        divisors, everything = index.divisors, index.everything
         p = self.ring.p
         reducers = self._reducers
         stack = [(m, None)]
@@ -388,12 +394,11 @@ class Ideal:
             if n in memo:
                 continue
             if tail is None:
-                for lead, tail in reducers:
-                    if all(map(le, lead, n)):  # monomial_divides, inlined in this hot loop
-                        break
-                else:
+                found = divisors(n, everything)
+                if not found:
                     memo[n] = {n: 1}
                     continue
+                lead, tail = reducers[(found & -found).bit_length() - 1]
                 if not tail:
                     memo[n] = _ZERO
                     continue
@@ -407,6 +412,13 @@ class Ideal:
                 _add_scaled(out, memo[k], c, p)
             memo[n] = out
         return memo[m]
+
+    def _divisor_index(self) -> DivisorIndex:
+        """The divisor index over the reducer leads, built on first use: bit k stands for `_reducers[k]`."""
+        self.groebner_basis()
+        if self._index is None:
+            self._index = DivisorIndex([lead for lead, _ in self._reducers], self.ring.nvars)
+        return self._index
 
     def contains_monomial(self, m) -> bool:
         """Whether x^m, given by its exponent tuple, lies in the ideal."""
@@ -639,8 +651,8 @@ class Ideal:
 
     def standard_monomials_of_degree(self, degree: int):
         """Monomials of this degree outside the lead-term staircase, in monomials_of_degree order."""
-        self.groebner_basis()
-        return list(monomials_outside([lead for lead, _ in self._gb_leads], self.ring.nvars, degree))
+        index = self._divisor_index()
+        return list(index.outside(degree, index.everything))
 
     def candidate_monomials(self, degree: int):
         """Monomials of this degree that no monomial basis element divides, in monomials_of_degree order.
@@ -648,8 +660,8 @@ class Ideal:
         Every other monomial of this degree lies in the ideal, so a sweep that
         tests only these skips that part of the ideal without reducing it.
         """
-        self.groebner_basis()
-        return monomials_outside(self._monomial_elements, self.ring.nvars, degree)
+        index = self._divisor_index()  # the monomial elements come first among the reducers
+        return index.outside(degree, (1 << len(self._monomial_elements)) - 1)
 
     def socle(self) -> tuple:
         """k-basis of (self : m)/self as normal forms, via multiplication-map kernels on the staircase."""

@@ -10,7 +10,9 @@ at the ideal generated by the variables.
 from __future__ import annotations
 
 import re
-from operator import add, le, sub
+from bisect import bisect_right
+from itertools import accumulate
+from operator import add, le, or_, sub
 
 MAX_EXPONENT = 1 << 20
 
@@ -80,42 +82,100 @@ def monomials_of_degree(nvars: int, degree: int):
             yield (first,) + rest
 
 
-def monomials_outside(gens, nvars: int, degree: int):
-    """Yield the exponent tuples of the given degree that no tuple in gens divides, in monomials_of_degree order.
+class DivisorIndex:
+    """Which of a fixed list of leads divide a monomial, as a bitmask: bit k stands for leads[k].
 
-    The walk fixes one variable at a time and keeps only the gens that fit
-    under the exponents fixed so far. A kept gen with nothing left in the
-    remaining variables divides every completion, so the node yields nothing.
-    A kept gen with one variable j left caps x_j below its own exponent. The
-    cap on the current variable bounds its exponent from above; when every
-    later variable is capped, the degree they can hold (the caps minus one,
-    summed) bounds it from below. A branch outside those bounds is cut before
-    it is entered: none of its completions escapes the gens.
+    For each variable i, `values[i]` holds the sorted distinct exponents of
+    the leads at i, and `masks[i][k]` the leads whose exponent at i is among
+    the first k of them; so the leads with exponent at most e at i are
+    `masks[i][bisect_right(values[i], e)]`, and a table holds one entry per
+    distinct exponent plus one, however large the exponents are. A `live`
+    mask restricts every query to some of the leads.
     """
-    # each gen travels with the indices of its last two nonzero exponents (-1 where there are
-    # fewer): from index i on, its support is empty when last < i and {last} when prev < i <= last
-    supports = [[-1, -1] + [i for i, e in enumerate(g) if e] for g in gens]
-    gens = [(g, s[-1], s[-2]) for g, s in zip(gens, supports)]
 
-    def walk(i, left, live, head):
-        caps: dict = {}  # variable j -> least exponent at j of a kept gen with only x_j left
-        for g, last, prev in live:
-            if prev < i:
-                if last < i:
-                    return
-                if g[last] < caps.get(last, left + 1):
-                    caps[last] = g[last]
-        top = min(left, caps.pop(i, left + 1) - 1)
-        low = left - sum(caps.values()) + len(caps) if len(caps) == nvars - i - 1 else 0
-        if top < low:
-            return
-        if i == nvars - 1:
-            yield head + (left,)
-            return
-        for first in range(top, max(low, 0) - 1, -1):
-            yield from walk(i + 1, left - first, [gen for gen in live if gen[0][i] <= first], head + (first,))
+    __slots__ = ("nvars", "everything", "values", "masks", "last_exponent", "ended", "fresh")
 
-    yield from walk(0, degree, gens, ())
+    def __init__(self, leads, nvars: int):
+        self.nvars = nvars
+        self.everything = (1 << len(leads)) - 1
+        self.values = [sorted({g[i] for g in leads}) for i in range(nvars)]
+        self.masks = []
+        for i, values in enumerate(self.values):
+            below = [0] * (len(values) + 1)
+            for k, g in enumerate(leads):
+                below[bisect_right(values, g[i])] |= 1 << k
+            self.masks.append(list(accumulate(below, or_)))
+        # with `last` and `prev` the places of a lead's last two nonzero exponents (-1 where it has fewer), its
+        # support from variable i on is empty when last < i (`ended[i]`) and is x_last when prev < i <= last;
+        # `fresh[i]` holds the leads for which the latter starts at i
+        supports = [[-1, -1] + [i for i, e in enumerate(g) if e] for g in leads]
+        self.last_exponent = [(s[-1], g[s[-1]]) for g, s in zip(leads, supports)]
+        self.ended = [sum(1 << k for k, s in enumerate(supports) if s[-1] < i) for i in range(nvars)]
+        self.fresh = [sum(1 << k for k, s in enumerate(supports) if s[-2] == i - 1 < s[-1]) for i in range(nvars)]
+
+    def divisors(self, n, live: int) -> int:
+        """The live leads that divide the monomial n."""
+        for e, values, masks in zip(n, self.values, self.masks):
+            live &= masks[bisect_right(values, e)]
+        return live
+
+    def _capped(self, caps, capping: int):
+        """caps[j] lowered to the exponent at j of each lead in the mask whose support, from here on, is x_j."""
+        caps = list(caps)
+        while capping:
+            j, e = self.last_exponent[(capping & -capping).bit_length() - 1]
+            capping &= capping - 1
+            if e < caps[j]:
+                caps[j] = e
+        return caps
+
+    def outside(self, degree: int, live: int):
+        """Yield the exponent tuples of this degree that no live lead divides, in monomials_of_degree order.
+
+        The walk fixes one variable at a time and keeps live only the leads
+        that fit under the exponents fixed so far. A live lead with nothing
+        left in the remaining variables divides every completion, so the node
+        is never entered. A live lead with one variable j left caps x_j below
+        its own exponent (`caps[j]`, degree + 1 when no lead caps x_j). The cap
+        on the current variable bounds its exponent from above, and the degree
+        the later variables can hold (their caps minus one, summed) bounds it
+        from below. A branch outside those bounds is never entered: none of
+        its completions escapes the leads. Nodes wait on one explicit stack,
+        their children pushed smallest exponent first, so that the largest is
+        taken next.
+        """
+        last = self.nvars - 1
+        if live & self.ended[0]:
+            return
+        if last == 0:
+            if not self.divisors((degree,), live):
+                yield (degree,)
+            return
+        stack = [(0, degree, live, self._capped([degree + 1] * (last + 1), live & self.fresh[0]), ())]
+        while stack:
+            i, left, live, caps, head = stack.pop()
+            top = min(left, caps[i] - 1)
+            low = max(left - sum(caps[i + 1 :]) + last - i, 0)
+            values, masks = self.values[i], self.masks[i]
+            if i < last - 1:
+                cut, fresh = self.ended[i + 1], self.fresh[i + 1]
+                for first in range(low, top + 1):
+                    child = live & masks[bisect_right(values, first)]
+                    if not child & cut:
+                        child_caps = self._capped(caps, child & fresh) if child & fresh else caps
+                        stack.append((i + 1, left - first, child, child_caps, head + (first,)))
+                continue
+            # the children are leaves: x_last takes what is left, so one more mask settles each
+            last_values, last_masks = self.values[last], self.masks[last]
+            for first in range(top, low - 1, -1):
+                if not live & masks[bisect_right(values, first)] & last_masks[bisect_right(last_values, left - first)]:
+                    yield head + (first, left - first)
+
+
+def monomials_outside(gens, nvars: int, degree: int):
+    """Yield the exponent tuples of the given degree that no tuple in gens divides, in monomials_of_degree order."""
+    index = DivisorIndex(gens, nvars)
+    return index.outside(degree, index.everything)
 
 
 def monomials_up_to_degree(nvars: int, degree: int):

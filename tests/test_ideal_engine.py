@@ -319,6 +319,45 @@ def test_normal_form_follows_a_deep_reduction_chain(regular2):
     assert str(ideal.normal_form(regular2.parse("x^2000"))) == "x*y^1999"
 
 
+def test_divisor_index_tables_are_sized_by_distinct_exponents():
+    # a table per exponent value would hold 2^20 entries for x; this one holds one per distinct lead exponent
+    ring = QuotientRing(2, ["x", "y", "z"])
+    ideal = Ideal(ring, ["x^1048576*y", "y^3*z^2", "z^1000000"])
+    assert ideal.contains_poly(ring.parse("x^1048576*y^2*z"))
+    assert ideal.normal_form(ring.parse("x^5*y^7*z^3")).is_zero()
+    assert list(ideal.candidate_monomials(7))[:3] == [(7, 0, 0), (6, 1, 0), (6, 0, 1)]
+    leads = [next(iter(g.terms)) for g in ideal.groebner_basis()]
+    index = ideal._divisor_index()
+    for i in range(ring.nvars):
+        assert len(index.values[i]) == len({g[i] for g in leads})
+        assert len(index.masks[i]) == len(index.values[i]) + 1
+
+
+def test_divisor_index_is_built_once_and_only_when_queried(monkeypatch):
+    built = []
+    divisor_index = ideals.DivisorIndex
+
+    def counted(leads, nvars):
+        built.append(len(leads))
+        return divisor_index(leads, nvars)
+
+    monkeypatch.setattr(ideals, "DivisorIndex", counted)
+    ring = QuotientRing(3, ["x", "y", "z"], ["x*y - z^2"])
+    ideal = Ideal(ring, ["x^3", "y^2 + x*z", "z^4"])
+    ideal.groebner_basis()
+    assert built == []
+    assert ideal.contains_monomial((3, 1, 0))
+    assert built == [len(ideal.groebner_basis())]
+    assert not ideal.contains_monomial((0, 1, 0))
+    ideal.normal_form(ring.parse("x^2*y^3 + z^5"))
+    list(ideal.candidate_monomials(4))
+    ideal.standard_monomials_of_degree(3)
+    assert len(built) == 1
+    # handles that only need a basis build none
+    ideal.colon(Ideal(ring, ["x"])).groebner_basis()
+    assert len(built) == 1
+
+
 def test_theorem_A_trial_reduces_each_monomial_once(monkeypatch):
     # reducing whole polynomials took 144,656 reduction steps on this trial; the memo takes about 7,000
     steps = [0]

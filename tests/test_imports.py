@@ -8,8 +8,10 @@ other module hands it term-dict rows. Every top-level private function or
 class is referenced by name somewhere in the package outside its own
 definition, so a replaced helper cannot stay behind. Only `self` has its
 attributes assigned or its private attributes read: another object's state is
-reached through its methods. Every entry point that `perfbench/tracer.py`
-wraps resolves in the package, so a rename cannot break the traced runs.
+reached through its methods. No module uses `functools.cache` or
+`functools.lru_cache`: a global cache would outlive the rings it serves.
+Every entry point that `perfbench/tracer.py` wraps resolves in the package,
+so a rename cannot break the traced runs.
 `fthresh.__all__` lists exactly the names `__init__.py` imports, so a deleted
 type cannot stay exported.
 """
@@ -133,6 +135,37 @@ def test_numpy_import_is_found():
 def test_unused_import_is_reported():
     source = "import numpy as np\nfrom .ring import grevlex_key, transfer\n\ntransfer(1)\n"
     assert unused_imports(source) == [(1, "np"), (2, "grevlex_key")]
+
+
+def global_caches(source: str):
+    """(line, name) of every use of `functools.lru_cache` or `functools.cache`, imported or reached as an attribute."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found += [(node.lineno, alias.name) for alias in node.names if alias.name in ("cache", "lru_cache")]
+        elif isinstance(node, ast.Attribute) and node.attr in ("cache", "lru_cache"):
+            if isinstance(node.value, ast.Name) and node.value.id == "functools":
+                found.append((node.lineno, node.attr))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[path.stem for path in MODULES])
+def test_no_global_caches(path):
+    # per-basis state lives on its handle or in `ring.cached`, so it dies with the ring: a module-level
+    # cache would keep every index and basis it ever saw alive
+    assert global_caches(path.read_text()) == []
+
+
+def test_global_cache_is_reported():
+    source = (
+        "import functools\n"
+        "from functools import lru_cache, reduce\n"
+        "@functools.cache\n"
+        "def f(x):\n"
+        "    return self.cache(x)\n"
+        "g = functools.lru_cache(maxsize=None)(f)\n"
+    )
+    assert global_caches(source) == [(2, "lru_cache"), (3, "cache"), (6, "lru_cache")]
 
 
 def foreign_attribute_assignments(source: str):

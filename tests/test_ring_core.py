@@ -1,9 +1,12 @@
+import random
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fthresh import ParseError, QuotientRing, RingError, parse_poly
 from fthresh.ring import (
     MAX_EXPONENT,
+    DivisorIndex,
     grevlex_key,
     monomial_div,
     monomial_divides,
@@ -212,6 +215,49 @@ def test_monomials_outside_cuts_m_primary_staircases_exactly(case):
         m for m in monomials_of_degree(nvars, degree) if not any(monomial_divides(g, m) for g in gens)
     ]
     assert list(monomials_outside(gens, nvars, degree)) == expected
+
+
+def _random_exponent(rng):
+    """Mostly small, so that staircases are met at low degrees; sometimes up to MAX_EXPONENT."""
+    return rng.choice([rng.randint(0, 4), rng.randint(0, 4), rng.randint(0, MAX_EXPONENT), MAX_EXPONENT])
+
+
+def _probe(rng, leads, nvars):
+    """A monomial near a lead: a multiple of it, or one step below it in one variable; else a random one."""
+    if not leads or rng.random() < 0.25:
+        return tuple(_random_exponent(rng) for _ in range(nvars))
+    n = [e + rng.choice([0, 0, 1, rng.randint(0, MAX_EXPONENT)]) for e in rng.choice(leads)]
+    if rng.random() < 0.5:
+        i = rng.randrange(nvars)
+        n[i] = max(n[i] - 1, 0)
+    return tuple(n)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_divisor_index_agrees_with_the_linear_scan(seed):
+    rng = random.Random(seed)
+    nvars = rng.randint(1, 5)
+    leads = [tuple(_random_exponent(rng) for _ in range(nvars)) for _ in range(rng.randint(0, 12))]
+    if leads and rng.random() < 0.3:
+        leads.append(rng.choice(leads))
+    index = DivisorIndex(leads, nvars)
+    assert index.everything == (1 << len(leads)) - 1
+    for _ in range(60):
+        live = rng.getrandbits(len(leads)) if rng.random() < 0.7 else index.everything
+        n = _probe(rng, leads, nvars)
+        dividing = [k for k, g in enumerate(leads) if live >> k & 1 and monomial_divides(g, n)]
+        found = index.divisors(n, live)
+        assert found == sum(1 << k for k in dividing)
+        # the lowest set bit is the reducer a scan of the leads in list order would take first
+        assert (found & -found).bit_length() - 1 == (dividing[0] if dividing else -1)
+    for _ in range(4):
+        live = rng.getrandbits(len(leads))
+        degree = rng.randint(0, 10)
+        live_leads = [g for k, g in enumerate(leads) if live >> k & 1]
+        expected = [
+            m for m in monomials_of_degree(nvars, degree) if not any(monomial_divides(g, m) for g in live_leads)
+        ]
+        assert list(index.outside(degree, live)) == expected
 
 
 def test_ring_mismatch_raises():
