@@ -4,33 +4,42 @@ Callers hand rows as dicts {key: entry} with any hashable key (a monomial, a
 (variable, monomial) pair, a column number). `echelon` reduces them over an
 ordered column list; `rank`, `solve` and `kernel` reduce the transposed
 system, whose RREF depends only on its row space, so neither key order nor
-absent keys can change their results. Only `_dense` builds a dense matrix,
-as the input of `rref`, which reads its nonzeros once and eliminates sparsely:
-Macaulay matrices hold one to three nonzeros per row in thousands of columns,
-so the cost follows the nonzeros and their fill-in, not rows x columns. `rref`
-still takes a dense matrix because the benchmark's tracer sizes a call by
-`args[0].size` and `tests/oracles.rref_mod_p` checks it (ROADMAP item 1).
+absent keys can change their results. Each hands `rref` a `Matrix`, its rows
+keyed by column number, and `rref` eliminates sparsely: Macaulay matrices hold
+one to three nonzeros per row in thousands of columns, so the cost follows the
+nonzeros and their fill-in, not rows x columns. No dense matrix is built.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-
-import numpy as np
+from typing import NamedTuple
 
 # Most cells (rows x columns) of a matrix; callers count them and refuse a larger
 # one before building it. The largest the tests and benchmark build has 1,597,596.
 _MAX_MATRIX_CELLS = 2**27
 
 
-def rref(matrix: np.ndarray, p: int):
+class Matrix(NamedTuple):
+    """A matrix as its rows {column number: entry}, `width` columns wide; absent entries are 0."""
+
+    rows: list
+    width: int
+
+    @property
+    def size(self) -> int:
+        """Cells of the dense matrix this stands for: rows x columns."""
+        return len(self.rows) * self.width
+
+
+def rref(matrix: Matrix, p: int):
     """Reduced row echelon form mod p, as its pivot rows.
 
     Returns (rows, pivot_columns): rows[k] is the dict {column: entry} of the
     k-th pivot row, with its pivot entry 1 and no zero entries, and every
-    other pivot column is cleared from it. Rows come in pivot order. The
-    input is a dense matrix (see the module docstring); the zero rows of the
-    echelon form are not returned.
+    other pivot column is cleared from it. Rows come in pivot order. Entries
+    are reduced mod p, zeros are dropped, and each row is read in column
+    order; the zero rows of the echelon form are not returned.
 
     Each row is reduced, as a dict, against the pivot rows found so far; what
     is left is made monic at its leftmost column, which becomes a pivot and is
@@ -39,16 +48,10 @@ def rref(matrix: np.ndarray, p: int):
     and a tail holds no pivot column, so one pass over a row's pivot columns
     reduces it.
     """
-    a = np.asarray(matrix, dtype=np.int64)
-    row_of, col_of = np.nonzero(a)
-    values = a[row_of, col_of] % p
-    keep = values != 0
-    rows = defaultdict(dict)
-    for i, j, v in zip(row_of[keep].tolist(), col_of[keep].tolist(), values[keep].tolist()):
-        rows[i][j] = v
     tails = {}  # pivot column -> {column: entry} right of it, outside every pivot column
     users = defaultdict(set)  # column -> pivot columns whose tails hold it
-    for row in rows.values():
+    for entries in matrix.rows:
+        row = {j: v % p for j, v in sorted(entries.items()) if v % p}
         for c in [c for c in row if c in tails]:
             v = row.pop(c)
             for j, w in tails[c].items():
@@ -80,29 +83,15 @@ def rref(matrix: np.ndarray, p: int):
     return [{c: 1, **tails[c]} for c in pivots], pivots
 
 
-def _dense(rows, columns) -> np.ndarray:
-    """int64 matrix of term dicts over the ordered columns.
-
-    A row can be dropped once read: only its nonzeros are kept, as triplets,
-    until the matrix is allocated and filled in one assignment.
-    """
+def _renumber(rows, columns) -> Matrix:
+    """The term-dict rows as a Matrix, each key replaced by its position in the ordered columns."""
     index = {key: j for j, key in enumerate(columns)}
-    at, to, values = [], [], []
-    height = 0
-    for row in rows:
-        for key, v in row.items():
-            at.append(height)
-            to.append(index[key])
-            values.append(v)
-        height += 1
-    mat = np.zeros((height, len(index)), dtype=np.int64)
-    mat[at, to] = values
-    return mat
+    return Matrix([{index[key]: v for key, v in row.items()} for row in rows], len(index))
 
 
 def echelon(rows, columns, p: int):
     """(pivot key, {key: entry}) for each RREF row of rows over the column sequence, in pivot order."""
-    reduced, pivots = rref(_dense(rows, columns), p)
+    reduced, pivots = rref(_renumber(rows, columns), p)
     return [(columns[c], {columns[j]: v for j, v in row.items()}) for row, c in zip(reduced, pivots)]
 
 
@@ -112,7 +101,7 @@ def _transposed_rref(rows, p: int):
     for i, row in enumerate(rows):
         for key, v in row.items():
             by_key[key][i] = v
-    return rref(_dense(by_key.values(), range(len(rows))), p)
+    return rref(Matrix(list(by_key.values()), len(rows)), p)
 
 
 def rank(rows, p: int) -> int:

@@ -4,17 +4,19 @@ Everything here is deliberately self-contained: its own GF(p) elimination
 and its own enumeration loops, sharing no code path with the library's
 Groebner engine. Oracles certify membership through bounded Macaulay spans
 and nu-values for monomial ideals through plain divisibility counting.
+numpy is imported inside the functions that use it, so importing this
+module, as the benchmark's set-up does, does not load it.
 """
 
 from __future__ import annotations
 
 import itertools
 
-import numpy as np
-
 
 def rref_mod_p(matrix, p):
     """Row reduce mod p; returns (rref matrix, pivot column list)."""
+    import numpy as np
+
     a = np.array(matrix, dtype=np.int64) % p
     rows, cols = a.shape
     pivots = []
@@ -50,6 +52,8 @@ def monomials_upto(nvars, degree):
 
 
 def poly_to_vector(terms, columns_index, p):
+    import numpy as np
+
     v = np.zeros(len(columns_index), dtype=np.int64)
     for m, c in terms.items():
         v[columns_index[m]] = c % p
@@ -63,6 +67,8 @@ def macaulay_member(f_terms, generator_terms, nvars, p, degree_bound):
     visible at this bound" and is only meaningful when the bound is generous
     for the fixture at hand.
     """
+    import numpy as np
+
     columns = monomials_upto(nvars, degree_bound)
     index = {m: j for j, m in enumerate(columns)}
     rows = []
@@ -145,6 +151,8 @@ def hilbert_oracle(relation_terms, nvars, p, D):
     dim in(L)_d from r_(d-1), and h_d is the number of degree-d monomials
     minus that growth.
     """
+    import numpy as np
+
     values = []
     previous = 0
     for d in range(D + 1):
@@ -170,6 +178,8 @@ def order_oracle(f_terms, relation_terms, nvars, p, cutoff):
     its coefficients on them. The first d with a nonzero coefficient is the
     order, and that combination is the initial form.
     """
+    import numpy as np
+
     for d in range(cutoff):
         coordinates = monomials_upto(nvars, d)
         index = {m: j for j, m in enumerate(coordinates)}

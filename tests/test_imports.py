@@ -3,8 +3,10 @@
 Each `src/fthresh/*.py` except `__init__.py` (whose imports are the package's
 exports) is parsed with `ast`; an imported name counts as used when it appears
 as a name anywhere in the module, annotations included. `from __future__`
-imports are directives, not names. Only `linalg.py` may import numpy: every
-other module hands it term-dict rows. Every top-level private function or
+imports are directives, not names. No module imports numpy: `linalg`
+eliminates term-dict rows, and importing the package, its CLI or the test
+oracles leaves numpy unloaded, so a stray import cannot add its load time to
+every CLI call. Every top-level private function or
 class is referenced by name somewhere in the package outside its own
 definition, so a replaced helper cannot stay behind. Only `self` has its
 attributes assigned or its private attributes read: another object's state is
@@ -18,6 +20,9 @@ type cannot stay exported.
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -91,8 +96,19 @@ def test_no_unused_imports(path):
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[path.stem for path in MODULES])
-def test_only_linalg_imports_numpy(path):
-    assert ("numpy" in imported_modules(path.read_text())) == (path.name == "linalg.py")
+def test_no_module_imports_numpy(path):
+    assert "numpy" not in imported_modules(path.read_text())
+
+
+def test_importing_the_package_and_the_oracles_leaves_numpy_unloaded():
+    # a fresh interpreter: this one has loaded numpy for other tests
+    probe = "import sys, fthresh, fthresh.cli, oracles; print('numpy' in sys.modules)"
+    tests = Path(__file__).resolve().parent
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC.parent), str(tests)])},
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_every_private_definition_is_referenced():

@@ -1,15 +1,21 @@
 """GF(p) linear algebra against the independent dense elimination in oracles.
 
-`rref` eliminates sparsely and returns its pivot rows as dicts;
-`oracles.rref_mod_p` is plain dense Gaussian elimination. The RREF of a matrix
-is unique, so the pivots must agree and each pivot row must equal the oracle's
-row of the same rank, read as a dict of its nonzero entries. `echelon` must
-give `rref`'s rows under the column keys, and `rank`, `kernel` and `solve`,
-which take term-dict rows, are checked through the oracle's ranks. Renaming
-the keys or reordering them inside each row leaves those three unchanged.
+`rref` takes a `linalg.Matrix` of column-numbered rows, eliminates sparsely
+and returns its pivot rows as dicts; `oracles.rref_mod_p` is plain dense
+Gaussian elimination. Each test draws a dense matrix and hands `rref` its
+nonzero entries (`as_matrix`). The RREF of a matrix is unique, so the pivots
+must agree and each pivot row must equal the oracle's row of the same rank,
+read as a dict of its nonzero entries. `echelon` must give `rref`'s rows
+under the column keys, and `rank`, `kernel` and `solve`, which take term-dict
+rows, are checked through the oracle's ranks. Renaming the keys or reordering
+them inside each row leaves those three unchanged. The benchmark tracer's
+`_cells` sizes what the four hand `rref` as the rows x columns of the dense
+matrix it stands for.
 """
 
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +24,7 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import session_path
 from fthresh import QuotientRing, linalg
-from fthresh.linalg import _dense
+from fthresh.linalg import _renumber
 from fthresh.ring import grevlex_key, monomial_mul, monomials_up_to_degree
 from oracles import rref_mod_p
 
@@ -33,9 +39,14 @@ def as_dicts(dense_rows):
     return [{j: int(v) for j, v in enumerate(row) if v} for row in dense_rows]
 
 
+def as_matrix(m):
+    """The dense matrix m as rref's input: its nonzero entries, row by row, and its width."""
+    return linalg.Matrix(as_dicts(m), m.shape[1])
+
+
 def check_rows(m, p):
     """rref's rows against the oracle, and its contract on each row; returns the rank."""
-    r, pivots = linalg.rref(m, p)
+    r, pivots = linalg.rref(as_matrix(m), p)
     r0, pivots0 = rref_mod_p(m, p)
     assert pivots == pivots0
     assert r == as_dicts(r0[: len(pivots0)])
@@ -52,7 +63,7 @@ def check_against_oracle(m, p, rng):
     keys = [("col", j) for j in range(cols)]
     keyed = [{keys[j]: v for j, v in row.items()} for row in as_dicts(m)]
     assert linalg.echelon(keyed, keys, p) == [
-        (keys[c], {keys[j]: v for j, v in row.items()}) for row, c in zip(*linalg.rref(m, p))
+        (keys[c], {keys[j]: v for j, v in row.items()}) for row, c in zip(*linalg.rref(as_matrix(m), p))
     ]
     assert linalg.rank(as_dicts(m), p) == rank
 
@@ -164,7 +175,9 @@ def test_determinantal_macaulay_matrix():
             m[i, index[mono]] = v
     assert m.shape == (931, 1716)
     assert (m != 0).sum() <= 3 * m.shape[0]
-    assert np.array_equal(_dense(iter(rows), columns), m)
+    numbered = _renumber(iter(rows), columns)
+    assert (len(numbered.rows), numbered.width) == m.shape
+    assert numbered.rows == as_dicts(m)
     check_rows(m, ring.p)
 
 
@@ -196,3 +209,44 @@ def test_results_ignore_key_names_and_order(case, random):
     assert linalg.rank(moved, p) == linalg.rank(rows, p)
     assert linalg.solve(moved, renamed(target), p) == linalg.solve(rows, target, p)
     assert linalg.kernel(moved, p) == linalg.kernel(rows, p)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_explicit_zeros_and_multiples_of_p_are_dropped(p):
+    rng = np.random.default_rng(p)
+    m = rng.integers(-3 * p, 3 * p, size=(8, 6)) * rng.integers(0, 2, size=(8, 6)) * p
+    m[::2] += rng.integers(-3 * p, 3 * p, size=(4, 6))
+    every_cell = linalg.Matrix([{j: int(v) for j, v in enumerate(row)} for row in m], 6)
+    assert linalg.rref(every_cell, p) == linalg.rref(as_matrix(m), p)
+    check_rows(m, p)
+
+
+def load_tracer():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_sizes_every_rref_call_as_rows_times_columns(monkeypatch):
+    """The benchmark's rref_cells_* count what each entry point hands rref as the dense rows x columns."""
+    cells = load_tracer()._cells
+    seen = []
+    real = linalg.rref
+
+    def recording(matrix, p):
+        seen.append((cells((matrix, p), None), len(matrix.rows), matrix.width))
+        return real(matrix, p)
+
+    monkeypatch.setattr(linalg, "rref", recording)
+    p = 3
+    rows = [{"x": 1, "y": 2}, {"y": 1}, {}, {"x": 2, "y": 1}]
+    keys = ["x", "y", "z"]
+    linalg.echelon(rows, keys, p)
+    linalg.rank(rows, p)
+    linalg.solve(rows, {"z": 1}, p)
+    linalg.kernel(rows, p)
+    # echelon: one row per input row over the three keys; the other three: one row per key
+    # (those the rows hold, and z through solve's target), one column per input row
+    assert seen == [(12.0, 4, 3), (8.0, 2, 4), (15.0, 3, 5), (8.0, 2, 4)]
