@@ -471,6 +471,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once: parse_intermixed_args restores the state it changes while it parses, so calls
+# made one after another share it (calls from several threads at once could not)
+_PARSER = build_parser()
+
+
 def _argv_rules_hold(args) -> bool:
     """report takes its path and --out only; every other command needs --session and no path."""
     given = {key for key, value in vars(args).items() if value is not None} - {"command"}
@@ -486,7 +491,7 @@ def _digest_report(body: dict) -> str:
 def run(argv) -> tuple[int, dict]:
     """Execute one command; returns (exit code, full report document)."""
     try:
-        args = build_parser().parse_intermixed_args(argv)
+        args = _PARSER.parse_intermixed_args(argv)
     except SystemExit:
         args = None
     if args is None or not _argv_rules_hold(args):

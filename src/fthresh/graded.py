@@ -75,10 +75,8 @@ def _order_and_form(f: Polynomial, ring: QuotientRing, cutoff: int):
     if f.is_zero():
         return AtLeast(cutoff), None
     for D in range(f.min_degree(), cutoff):
-        rows = [_cut(row, D) for row in _product_rows(ring.relations, ring.nvars, D)]
-        columns = sorted({m for row in rows for m in row}, key=lambda m: (sum(m), m))
         rest = _cut(f.terms, D)
-        for lead, row in linalg.echelon(rows, columns, ring.p):
+        for lead, row in _relation_echelon(ring, D).items():
             if lead in rest:
                 _add_scaled(rest, row, -rest[lead], ring.p)
         if rest:
@@ -129,6 +127,20 @@ def _product_rows(gen_polys, nvars: int, D: int):
 
 def _cut(terms: dict, D: int) -> dict:
     return {m: c for m, c in terms.items() if sum(m) <= D}
+
+
+def _relation_echelon(ring: QuotientRing, D: int) -> dict:
+    """{pivot: row} of the RREF of the relations' product rows cut above degree D, in pivot order.
+
+    Columns ascend by (degree, exponents), so a row's pivot is one of its
+    lowest-degree terms and no entry lies below that degree. So for every
+    k <= D + 1, the rows whose pivot has degree < k, cut below k, are a
+    reduced echelon basis of the image of L in S/m^k, and the monomials of
+    degree < k that are no pivot are a basis of R/m^k.
+    """
+    rows = [_cut(row, D) for row in _product_rows(ring.relations, ring.nvars, D)]
+    columns = sorted({m for row in rows for m in row}, key=lambda m: (sum(m), m))
+    return dict(linalg.echelon(rows, columns, ring.p))
 
 
 def _pieces(ring: QuotientRing, gen_polys, D: int):

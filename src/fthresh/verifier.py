@@ -17,15 +17,19 @@ from .graded import (
     AtLeast,
     _initial_terms,
     _order_and_form,
+    _relation_echelon,
     gr_presentation,
     ord_of,
 )
-from .ideals import Ideal, zero_ideal
+from .ideals import Ideal, _add_scaled, zero_ideal
+from .linalg import _MAX_MATRIX_CELLS
 from .ring import (
     Polynomial,
     QuotientRing,
     RingError,
+    monomial_mul,
     monomials_of_degree,
+    monomials_up_to_degree,
     transfer,
 )
 
@@ -40,19 +44,31 @@ class CheckReport:
     details: dict = field(default_factory=dict)
 
 
-# -- graded multiplication-map rank helper -------------------------------------
+# -- rank helper ---------------------------------------------------------------
+
+
+def _injective(basis, image, width: int, p: int) -> bool:
+    """Rank test: whether the linear map sending each basis element s to the term dict image(s) is injective.
+
+    The images fill at most `width` columns. The len(basis) x width cells are
+    counted before any image is built, and a larger count than
+    _MAX_MATRIX_CELLS is refused with a RingError.
+    """
+    if len(basis) * width > _MAX_MATRIX_CELLS:
+        raise RingError(f"a rank test of {len(basis)} x {width} cells exceeds {_MAX_MATRIX_CELLS}")
+    return linalg.rank([image(s) for s in basis], p) == len(basis)
 
 
 def _multiplication_injective_through(graded_ring: QuotientRing, form: Polynomial, bound: int) -> bool:
     """Rank test: multiplication by a degree-1 form is injective in degrees <= bound."""
     handle = zero_ideal(graded_ring)
+    times = handle.multiplier(form)
+    source = handle.standard_monomials_of_degree(0)
     for i in range(bound + 1):
-        src = handle.standard_monomials_of_degree(i)
-        if not src:
-            continue
-        images = [handle.normal_form(graded_ring.monomial(m) * form).terms for m in src]
-        if linalg.rank(images, graded_ring.p) < len(src):
+        target = handle.standard_monomials_of_degree(i + 1)
+        if not _injective(source, lambda m: times({m: 1}), len(target), graded_ring.p):
             return False
+        source = target
     return True
 
 
@@ -85,14 +101,71 @@ def check_colon_lemma(ring: QuotientRing, x: Polynomial, n_max: int) -> CheckRep
 
 
 def _colon_mismatch(ring: QuotientRing, x: Polynomial, c: int, n_max: int):
-    """First n in c..n_max with (m^{n+1} : x) ∩ m^c != m^n, as {"n", "element"}; None if none."""
+    """First n in c..n_max with (m^{n+1} : x) ∩ m^c != m^n, as {"n", "element"}; None if none.
+
+    A rank test decides each n (`_colon_injective`), on one echelon of the
+    relations through degree n_max. Only the first failing n computes the
+    colon, by tag-variable elimination, to name a generator of it outside m^n.
+    """
+    echelon = _relation_echelon(ring, n_max)
+    standard = _outside_pivots(echelon, ring.nvars, n_max)
     for n in range(c, n_max + 1):
-        colon = ring.power_of_maximal_ideal(n + 1).colon_poly(x)
-        lhs = colon if c == 0 else colon.intersect(ring.power_of_maximal_ideal(c))
-        # x in m and c <= n give m^n ⊆ lhs; only lhs ⊆ m^n is open
-        if (outside := _first_outside(lhs, ring.power_of_maximal_ideal(n))) is not None:
+        if not _colon_injective(echelon, standard, x, c, n):
+            outside = _first_outside(_colon_ideal(ring, x, c, n), ring.power_of_maximal_ideal(n))
             return {"n": n, "element": str(outside)}
     return None
+
+
+def _colon_injective(echelon: dict, standard: list, x: Polynomial, c: int, n: int) -> bool:
+    """Whether (m^{n+1} : x) ∩ m^c = m^n, for x in m + L and c <= n, by one rank test.
+
+    Those conditions give m^n ⊆ (m^{n+1} : x) ∩ m^c, and make
+    f -> (x*f mod m^{n+1}, f mod m^c) a well-defined map on R/m^n, whose
+    kernel is ((m^{n+1} : x) ∩ m^c)/m^n. So the identity holds iff the map is
+    injective. `echelon` is a `_relation_echelon` through degree >= n, and
+    `standard` its `_outside_pivots` through degree >= n: those of degree < k
+    are a basis of R/m^k. Each row holds x*s in that basis for k = n + 1,
+    keyed (0, monomial), and s for k = c, keyed (1, s): a basis monomial s is
+    its own coordinate when deg s < c, and lies in m^c otherwise.
+    """
+    p = x.ring.p
+
+    def image(s):
+        times = {monomial_mul(t, s): v for t, v in x.terms.items()}
+        row = {(0, m): v for m, v in _reduce_below(echelon, times, n + 1, p).items()}
+        if sum(s) < c:
+            row[(1, s)] = 1
+        return row
+
+    def basis(k):  # of R/m^k
+        return [s for s in standard if sum(s) < k]
+
+    return _injective(basis(n), image, len(basis(n + 1)) + len(basis(c)), p)
+
+
+def _outside_pivots(echelon: dict, nvars: int, D: int) -> list:
+    """The monomials of degree <= D that are no pivot of a `_relation_echelon`, ascending in degree."""
+    return [s for s in monomials_up_to_degree(nvars, D) if s not in echelon]
+
+
+def _reduce_below(echelon: dict, terms: dict, k: int, p: int) -> dict:
+    """terms modulo m^k + L, in the `_outside_pivots` of degree < k: one pass, since rows are reduced."""
+    out: dict = {}
+    for m, v in terms.items():
+        if sum(m) >= k:
+            continue
+        row = echelon.get(m)
+        if row is None:
+            _add_scaled(out, {m: 1}, v, p)
+        else:  # m is minus the rest of its row modulo L, and that rest lies in the basis
+            _add_scaled(out, {t: w for t, w in row.items() if t != m and sum(t) < k}, -v, p)
+    return out
+
+
+def _colon_ideal(ring: QuotientRing, x: Polynomial, c: int, n: int) -> Ideal:
+    """(m^{n+1} : x) ∩ m^c by tag-variable elimination: one for the colon, one more for c > 0."""
+    colon = ring.power_of_maximal_ideal(n + 1).colon_poly(x)
+    return colon if c == 0 else colon.intersect(ring.power_of_maximal_ideal(c))
 
 
 def _first_outside(inner: Ideal, outer: Ideal):

@@ -5,7 +5,7 @@ import time
 import pytest
 
 from conftest import session_path
-from fthresh import Ideal, RingError, frobenius, gr_presentation
+from fthresh import Ideal, RingError, cli, frobenius, gr_presentation, ideals
 from fthresh.cli import Session, UsageError, emit_nu_table, main, read_nu_table, run
 from fthresh.frobenius import threshold_estimate
 
@@ -325,6 +325,19 @@ def test_colon_lemma_on_the_determinantal_fixture_passes():
     assert report["results"]["details"] == {"initial_form": "x11"}
 
 
+def test_colon_lemma_decides_without_elimination(monkeypatch):
+    # every n passes its rank test, so no colon is computed for a witness
+    def refused(*args):
+        raise AssertionError("tag-variable elimination")
+
+    monkeypatch.setattr(ideals, "_eliminate_intersection", refused)
+    code, report = run_report(
+        ["check", "--session", session_path("ex-determinantal.json"), "--name", "colon-lemma",
+         "--x", "x11"]
+    )
+    assert code == 0 and report["results"]["verdict"] == "pass"
+
+
 def test_colon_lemma_past_the_matrix_bound_is_inconclusive():
     # n_max 14 reads degrees through 16, where a Macaulay matrix of the cone
     # would have 194113 x 74613 cells; the exact cone needs none, and
@@ -464,3 +477,34 @@ def test_flags_before_the_command():
     _, canonical = run_report(first)
     code, moved = run_report(first[1:] + first[:1])
     assert code == 0 and moved["results"] == canonical["results"]
+
+
+def test_one_parser_serves_calls_in_a_row(tmp_path, monkeypatch):
+    # run parses with one shared parser; each call, a refused one too, must leave
+    # it as a freshly built one would be
+    stored = tmp_path / "report.json"
+    regular = session_path("ex-regular.json")
+    run(["dim", "--session", regular, "--out", str(stored)])
+    forms = [
+        ["--session", regular, "dim"],
+        ["report", "--out", str(tmp_path / "checked.json"), str(stored)],
+        ["nu", str(stored), "--session", regular, "--a", "m", "--J", "m", "--e", "1"],
+        ["nu", "--session", regular, "--a", "m", "--J", "m", "--e", "1"],
+        ["check", "--name", "colon-lemma", "--session", session_path("ex-node4.json"), "--x", "x+y"],
+        ["--e-max", "2", "fpt", "--a", "m", "--session", regular],
+    ]
+
+    def outcome(argv):
+        try:
+            code, document = run(argv)
+        except UsageError as exc:
+            return str(exc)
+        return code, document["report"], document["digest"]
+
+    separate = []
+    for argv in forms:
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_PARSER", cli.build_parser())
+            separate.append(outcome(argv))
+    assert [outcome(argv) for argv in forms] == separate
+    assert separate[2].startswith("invalid arguments")

@@ -13,7 +13,17 @@ from fthresh import (
     check_superficial,
     check_theorem_A_randomized,
 )
-from fthresh.verifier import random_hypersurface, random_m_primary
+from fthresh import linalg, verifier
+from fthresh.graded import _relation_echelon
+from fthresh.verifier import (
+    _colon_ideal,
+    _colon_injective,
+    _first_outside,
+    _outside_pivots,
+    random_hypersurface,
+    random_m_primary,
+    random_poly,
+)
 from oracles import hilbert_oracle
 
 
@@ -73,6 +83,46 @@ def test_superficial_branch_variable_fails(node2):
 def test_superficial_requires_order_one(node2):
     with pytest.raises(RingError):
         check_superficial(node2.parse("x^2"), 2, 3)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_colon_rank_test_agrees_with_the_colon(p):
+    # the rank test decides (m^{n+1} : x) ∩ m^c = m^n exactly: it must agree with
+    # the colon and intersection computed by elimination, on passing and failing n
+    decided = failing = 0
+    for seed in range(12):
+        rng = random.Random(seed)
+        ring = random_hypersurface(rng, p)
+        x = random_poly(rng, ring)
+        while x.is_zero():  # the terms of a draw can cancel
+            x = random_poly(rng, ring)
+        # one echelon through degree 3 serves every n <= 3, as in `_colon_mismatch`
+        echelon = _relation_echelon(ring, 3)
+        standard = _outside_pivots(echelon, ring.nvars, 3)
+        for c in range(3):
+            for n in range(c, 4):
+                holds = _first_outside(_colon_ideal(ring, x, c, n), ring.power_of_maximal_ideal(n)) is None
+                assert _colon_injective(echelon, standard, x, c, n) == holds, (seed, repr(ring), str(x), c, n)
+                decided += 1
+                failing += not holds
+    assert decided == 108 and 0 < failing < decided
+
+
+def test_colon_rank_test_counts_its_cells_first(regular2, monkeypatch):
+    # over GF(2)[x, y], n = 0 has no rows, n = 1 is a 1 x 3 matrix and n = 2 would
+    # be 3 x 6: the bound refuses the last before any of its rows is built
+    ranks = []
+    rank = linalg.rank
+
+    def counted(rows, p):
+        ranks.append(len(rows))
+        return rank(rows, p)
+
+    monkeypatch.setattr(verifier, "_MAX_MATRIX_CELLS", 17)
+    monkeypatch.setattr(linalg, "rank", counted)
+    with pytest.raises(RingError, match="a rank test of 3 x 6 cells exceeds 17"):
+        check_superficial(regular2.parse("x"), 0, 4)
+    assert ranks == [0, 1]
 
 
 def test_lemma22_equal_ideals(regular2):
