@@ -4,18 +4,20 @@ The associated graded ring of R = S/L is S/in(L), computed exactly by the
 deformation to the normal cone: each relation g becomes g* = sum_d g_d *
 t^(d - ord g), the t-saturation of (g*) is found by eliminating s from
 (g*, 1 - s*t), and setting t = 0 in its generators gives generators of in(L).
-The rest reads Macaulay matrices: the image in S/m^(D+1) of an ideal I of S
+The rest reads Macaulay echelons: the image in S/m^(D+1) of an ideal I of S
 is spanned by the products x^m * g, deg x^m <= D - ord(g), of its generators,
-cut above degree D. One matrix gives every piece in(I)_d, d <= D, exactly;
-for m-primary I the pieces below its nilpotency degree N and the degree-N
-monomials generate in(I). From the relations' rows, h_d is the number of
-degree-d monomials minus dim in(L)_d, and ord(f) is the first D at which f
-survives reduction; what survives is in(f).
+cut above degree D, whose RREF over columns ascending in degree gives every
+piece in(I)_d, d <= D; for m-primary I the pieces below its nilpotency degree
+N and the degree-N monomials generate in(I). Each ring keeps its relations'
+echelon, grown on demand: h_d is the number of degree-d monomials minus its
+pivots of degree d, and ord(f) is the first D at which f survives reduction
+modulo m^(D+1) + L; what survives is in(f).
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 from . import linalg
@@ -65,9 +67,8 @@ def default_truncation(polys) -> int:
 def _order_and_form(f: Polynomial, ring: QuotientRing, cutoff: int):
     """(ord f, in f), or (AtLeast(cutoff), None) when f lies in m^cutoff + L.
 
-    f is in m^(D+1) + L iff f cut above D reduces to zero against the RREF of the relations'
-    product rows cut there, one pass over its pivots. Columns ascend by (degree, exponents), so
-    the first D leaving a remainder is ord(f), and that remainder, of degree D, is in(f).
+    f is in m^(D+1) + L iff it reduces to zero modulo m^(D+1) + L (`_reduce_below`). The first D
+    leaving a remainder is ord(f), and that remainder, of degree D, is in(f).
     """
     if cutoff < 1:
         raise RingError("cutoff must be at least 1")
@@ -75,10 +76,7 @@ def _order_and_form(f: Polynomial, ring: QuotientRing, cutoff: int):
     if f.is_zero():
         return AtLeast(cutoff), None
     for D in range(f.min_degree(), cutoff):
-        rest = _cut(f.terms, D)
-        for lead, row in _relation_echelon(ring, D).items():
-            if lead in rest:
-                _add_scaled(rest, row, -rest[lead], ring.p)
+        rest = _reduce_below(_relation_echelon(ring, D), f.terms, D + 1, ring.p)
         if rest:
             return D, ring.from_terms(rest)
     return AtLeast(cutoff), None
@@ -100,7 +98,7 @@ def initial_form(f: Polynomial, ring: QuotientRing, cutoff: int) -> Polynomial:
     return form
 
 
-# -- Macaulay pieces -------------------------------------------------------------
+# -- Macaulay echelons -------------------------------------------------------------
 
 
 def _product_rows(gen_polys, nvars: int, D: int):
@@ -129,37 +127,52 @@ def _cut(terms: dict, D: int) -> dict:
     return {m: c for m, c in terms.items() if sum(m) <= D}
 
 
-def _relation_echelon(ring: QuotientRing, D: int) -> dict:
-    """{pivot: row} of the RREF of the relations' product rows cut above degree D, in pivot order.
+def _echelon(gen_polys, ring: QuotientRing, D: int, key) -> dict:
+    """{pivot: row} of the RREF of the generators' product rows cut above degree D, in pivot order.
 
-    Columns ascend by (degree, exponents), so a row's pivot is one of its
-    lowest-degree terms and no entry lies below that degree. So for every
-    k <= D + 1, the rows whose pivot has degree < k, cut below k, are a
-    reduced echelon basis of the image of L in S/m^k, and the monomials of
-    degree < k that are no pivot are a basis of R/m^k.
+    Columns are the monomials the rows hold, ascending by `key`, which ascends
+    in degree first. So no entry of a row lies below its pivot's degree: for
+    k <= D + 1, the rows whose pivot has degree < k, cut below k, are the RREF
+    of the ideal's image in S/m^k, and the degree-d parts of the rows whose
+    pivot has degree d are the reduced echelon basis of in(I)_d.
     """
-    rows = [_cut(row, D) for row in _product_rows(ring.relations, ring.nvars, D)]
-    columns = sorted({m for row in rows for m in row}, key=lambda m: (sum(m), m))
+    rows = [_cut(row, D) for row in _product_rows(gen_polys, ring.nvars, D)]
+    columns = sorted({m for row in rows for m in row}, key=key)
     return dict(linalg.echelon(rows, columns, ring.p))
 
 
-def _pieces(ring: QuotientRing, gen_polys, D: int):
-    """Pieces in(I)_d, d <= D, of the ideal I of S the polynomials generate, as term dicts.
+def _relation_echelon(ring: QuotientRing, D: int) -> dict:
+    """The relations' `_echelon` through some degree >= D, columns by (degree, exponents).
 
-    in(I)_d depends only on the image of I in S/m^(d+1), so one matrix of the
-    product rows cut above degree D gives every piece exactly. Columns ascend
-    in degree, so the echelon rows whose pivot has degree d span the elements
-    of that image vanishing below degree d; their degree-d parts, in pivot
-    order, are the reduced echelon basis of in(I)_d.
+    The ring keeps the largest one built so far and serves every smaller D from
+    it, since its rows with a pivot of degree < k, cut below k, are the echelon
+    through k - 1. So the monomials of degree < k that are no pivot
+    (`_outside_pivots`) are a basis of R/m^k, for every k <= D + 1. Only a
+    larger D builds, so the cell bound refuses the degrees a new ring refuses.
     """
-    # rows first: their cell bound fires before the column list is built
-    rows = (_cut(row, D) for row in _product_rows(gen_polys, ring.nvars, D))
-    columns = sorted(monomials_up_to_degree(ring.nvars, D), key=grevlex_key)
-    pieces = {d: [] for d in range(D + 1)}
-    for lead, row in linalg.echelon(rows, columns, ring.p):
-        d = sum(lead)
-        pieces[d].append({m: v for m, v in row.items() if sum(m) == d})
-    return pieces
+    held = ring.cached("relation echelon", lambda: {"degree": -1})
+    if held["degree"] < D:
+        held.update(degree=D, echelon=_echelon(ring.relations, ring, D, lambda m: (sum(m), m)))
+    return held["echelon"]
+
+
+def _outside_pivots(echelon: dict, nvars: int, D: int) -> list:
+    """The monomials of degree <= D that are no pivot of a `_relation_echelon`, ascending in degree."""
+    return [s for s in monomials_up_to_degree(nvars, D) if s not in echelon]
+
+
+def _reduce_below(echelon: dict, terms: dict, k: int, p: int) -> dict:
+    """terms modulo m^k + L, in the `_outside_pivots` of degree < k: one pass, since rows are reduced."""
+    out: dict = {}
+    for m, v in terms.items():
+        if sum(m) >= k:
+            continue
+        row = echelon.get(m)
+        if row is None:
+            _add_scaled(out, {m: 1}, v, p)
+        else:  # m is minus the rest of its row modulo L, and that rest lies in the basis
+            _add_scaled(out, {t: w for t, w in row.items() if t != m and sum(t) < k}, -v, p)
+    return out
 
 
 # -- graded presentations --------------------------------------------------------
@@ -191,14 +204,15 @@ def _initial_terms(a: Ideal) -> list:
     """Generators of in(a + L) in S, as term dicts, for an m-primary ideal a of R = S/L.
 
     m^N ⊆ a + L for the nilpotency degree N of a, so in(a + L) is generated by
-    its pieces below N, read from one matrix in pivot order, and the degree-N
-    monomials, in grevlex order.
+    its pieces below N, read from one echelon with grevlex columns in pivot
+    order, and the degree-N monomials, in grevlex order.
     """
     ring = a.ring
     N = a.nilpotency_degree()
-    pieces = _pieces(ring, list(a.generators) + list(ring.relations), N - 1)
+    echelon = _echelon(list(a.generators) + list(ring.relations), ring, N - 1, grevlex_key)
+    pieces = [{m: v for m, v in row.items() if sum(m) == sum(lead)} for lead, row in echelon.items()]
     monomials = sorted(monomials_of_degree(ring.nvars, N), key=grevlex_key)
-    return [t for piece in pieces.values() for t in piece] + [{m: 1} for m in monomials]
+    return pieces + [{m: 1} for m in monomials]
 
 
 def gr_of_ideal(a: Ideal) -> Ideal:
@@ -225,12 +239,12 @@ def gr_of_ideal(a: Ideal) -> Ideal:
 def hilbert_data(ring: QuotientRing, D: int) -> list:
     """Filtration dimensions h_i = dim (m^i+L)/(m^{i+1}+L) through degree D.
 
-    h_i is the number of degree-i monomials minus dim in(L)_i, from the relations' one Macaulay matrix.
+    h_i is the number of degree-i monomials minus dim in(L)_i, the relation echelon's pivots of degree i.
     """
     if D < 0:
         raise RingError("D must be nonnegative")
-    pieces = _pieces(ring, list(ring.relations), D)
-    return [math.comb(d + ring.nvars - 1, d) - len(pieces[d]) for d in range(D + 1)]
+    pivots = Counter(sum(lead) for lead in _relation_echelon(ring, D))
+    return [math.comb(d + ring.nvars - 1, d) - pivots[d] for d in range(D + 1)]
 
 
 # -- claim verification ---------------------------------------------------------------

@@ -17,11 +17,13 @@ from .graded import (
     AtLeast,
     _initial_terms,
     _order_and_form,
+    _outside_pivots,
+    _reduce_below,
     _relation_echelon,
     gr_presentation,
     ord_of,
 )
-from .ideals import Ideal, _add_scaled, zero_ideal
+from .ideals import Ideal, zero_ideal
 from .linalg import _MAX_MATRIX_CELLS
 from .ring import (
     Polynomial,
@@ -29,7 +31,6 @@ from .ring import (
     RingError,
     monomial_mul,
     monomials_of_degree,
-    monomials_up_to_degree,
     transfer,
 )
 
@@ -143,25 +144,6 @@ def _colon_injective(echelon: dict, standard: list, x: Polynomial, c: int, n: in
     return _injective(basis(n), image, len(basis(n + 1)) + len(basis(c)), p)
 
 
-def _outside_pivots(echelon: dict, nvars: int, D: int) -> list:
-    """The monomials of degree <= D that are no pivot of a `_relation_echelon`, ascending in degree."""
-    return [s for s in monomials_up_to_degree(nvars, D) if s not in echelon]
-
-
-def _reduce_below(echelon: dict, terms: dict, k: int, p: int) -> dict:
-    """terms modulo m^k + L, in the `_outside_pivots` of degree < k: one pass, since rows are reduced."""
-    out: dict = {}
-    for m, v in terms.items():
-        if sum(m) >= k:
-            continue
-        row = echelon.get(m)
-        if row is None:
-            _add_scaled(out, {m: 1}, v, p)
-        else:  # m is minus the rest of its row modulo L, and that rest lies in the basis
-            _add_scaled(out, {t: w for t, w in row.items() if t != m and sum(t) < k}, -v, p)
-    return out
-
-
 def _colon_ideal(ring: QuotientRing, x: Polynomial, c: int, n: int) -> Ideal:
     """(m^{n+1} : x) ∩ m^c by tag-variable elimination: one for the colon, one more for c > 0."""
     colon = ring.power_of_maximal_ideal(n + 1).colon_poly(x)
@@ -204,6 +186,8 @@ def check_superficial(x: Polynomial, c_max: int, n_max: int) -> CheckReport:
     """Search c <= c_max with (m^{n+1} : x) ∩ m^c = m^n for all c <= n <= n_max."""
     if c_max < 0:
         raise RingError("c_max must be at least 0")
+    if n_max < c_max:  # no n would be checked for the largest c
+        raise RingError("n_max must be at least c_max")
     ring = x.ring
     inputs = {"ring": repr(ring), "x": str(x), "c_max": c_max, "n_max": n_max}
     r = ord_of(x, ring, max(3, n_max))

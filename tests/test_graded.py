@@ -7,6 +7,7 @@ from fthresh import (
     AtLeast,
     Ideal,
     QuotientRing,
+    check_superficial,
     gr_of_ideal,
     gr_presentation,
     hilbert_data,
@@ -20,7 +21,7 @@ from fthresh.cli import Session
 from fthresh.graded import TruncationError
 from fthresh.ideals import buchberger, zero_ideal
 from fthresh.ring import monomials_of_degree, transfer
-from fthresh.verifier import random_hypersurface, random_m_primary
+from fthresh.verifier import _colon_mismatch, random_hypersurface, random_m_primary
 from conftest import session_path
 from oracles import hilbert_monomial_oracle, hilbert_oracle, order_oracle
 
@@ -253,6 +254,76 @@ def test_ord_and_initial_form_match_the_dense_oracle_on_random_rings():
         several = sum(not g.is_homogeneous() for g in ring.relations) > 1
         seen["nonhomogeneous_relations"] += several and ring.nvars > 2
     assert min(seen.values()) >= 10, seen
+
+
+def _count_builds(monkeypatch):
+    """The degree of every relation echelon built from now on, in order."""
+    built = []
+    product_rows = graded._product_rows
+
+    def counted(gen_polys, nvars, D):
+        built.append(D)
+        return product_rows(gen_polys, nvars, D)
+
+    monkeypatch.setattr(graded, "_product_rows", counted)
+    return built
+
+
+def test_the_relation_echelon_is_grown_not_rebuilt(monkeypatch):
+    # fresh rings: the session fixtures keep their echelons between tests
+    ring = QuotientRing(2, ["x", "y", "z"], ["x*y - z^3"])
+    built = _count_builds(monkeypatch)
+    f = ring.parse("x*y + z^4")
+    assert ord_of(f, ring, 8) == 3
+    assert built == [2, 3]  # a cold scan builds each degree it reaches
+    assert str(initial_form(f, ring, 8)) == "z^3"
+    assert ord_of(ring.parse("x*y - z^3"), ring, 8) == AtLeast(8)
+    assert built == [2, 3, 4, 5, 6, 7]
+    # every degree through 7 is read from the one echelon the ring holds
+    assert hilbert_data(ring, 7) == [1, 3, 5, 7, 9, 11, 13, 15]
+    assert str(initial_form(ring.parse("x^2*y + y^5"), ring, 8)) == "x*z^3"
+    assert built == [2, 3, 4, 5, 6, 7]
+
+
+def test_superficial_builds_one_relation_echelon_for_every_c(monkeypatch):
+    ring = QuotientRing(2, ["x", "y", "z"], ["x*y - z^3"])
+    built = _count_builds(monkeypatch)
+    report = check_superficial(ring.parse("x"), 3, 6)
+    assert report.verdict == "fail" and sorted(report.witnesses) == [0, 1, 2, 3]
+    # one for the order check, one through n_max that every c reads
+    assert len(built) <= 2 and max(built) == 6
+
+
+def test_a_grown_relation_echelon_gives_the_answers_of_a_new_ring():
+    # one ring first builds its echelon far past the degrees asked; each answer must
+    # equal the one a new ring from the same inputs gives, building only what it needs
+    kinds = {"order": 0, "at_least": 0, "colon_fails": 0}
+    for seed in range(40):
+        rng = random.Random(1700 + seed)
+        grown = _random_ring(rng)
+
+        def new():
+            return QuotientRing(grown.p, grown.variables, [str(g) for g in grown.relations])
+
+        graded._relation_echelon(grown, 9)
+        for _ in range(3):
+            f = _random_graded_poly(rng, grown, 1, 3)
+            cutoff = rng.randint(1, 6)
+            order = ord_of(f, grown, cutoff)
+            assert order == ord_of(f, new(), cutoff), (seed, grown, f)
+            if isinstance(order, AtLeast):
+                kinds["at_least"] += 1
+                continue
+            kinds["order"] += 1
+            assert initial_form(f, grown, cutoff) == transfer(initial_form(f, new(), cutoff), grown)
+        assert hilbert_data(grown, 6) == hilbert_data(new(), 6), (seed, grown)
+        x = _random_graded_poly(rng, grown, 1, 2)
+        for c in range(3):
+            mismatch = _colon_mismatch(grown, x, c, 4)
+            fresh = new()
+            assert mismatch == _colon_mismatch(fresh, transfer(x, fresh), c, 4), (seed, grown, x, c)
+            kinds["colon_fails"] += mismatch is not None
+    assert min(kinds.values()) >= 10, kinds
 
 
 def test_verify_gr_claim_blowup(blowup):

@@ -14,12 +14,11 @@ from fthresh import (
     check_theorem_A_randomized,
 )
 from fthresh import linalg, verifier
-from fthresh.graded import _relation_echelon
+from fthresh.graded import _outside_pivots, _relation_echelon
 from fthresh.verifier import (
     _colon_ideal,
     _colon_injective,
     _first_outside,
-    _outside_pivots,
     random_hypersurface,
     random_m_primary,
     random_poly,
@@ -83,6 +82,15 @@ def test_superficial_branch_variable_fails(node2):
 def test_superficial_requires_order_one(node2):
     with pytest.raises(RingError):
         check_superficial(node2.parse("x^2"), 2, 3)
+
+
+def test_superficial_needs_an_n_for_every_c(node2):
+    # with n_max < c_max the largest c would have no n to check, and pass unchecked
+    with pytest.raises(RingError, match="n_max must be at least c_max"):
+        check_superficial(node2.parse("x"), 0, -1)
+    with pytest.raises(RingError, match="n_max must be at least c_max"):
+        check_superficial(node2.parse("x+y"), 3, 2)
+    assert check_superficial(node2.parse("x+y"), 3, 3).verdict == "pass"
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
