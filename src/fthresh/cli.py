@@ -47,6 +47,10 @@ class UsageError(ValueError):
     pass
 
 
+# the type every session option the commands read must have; JSON true is not an integer
+_OPTION_TYPES = {"D": int, "e_max": int, "seed": int, "max_denominator": int, "assume_domain": bool}
+
+
 def _check_strings(what: str, value):
     if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
         raise UsageError(f"session {what} must be a list of strings")
@@ -90,6 +94,11 @@ class Session:
         for name, text in data.get("elements", {}).items():
             if not isinstance(text, str):
                 raise UsageError(f"session element {name!r} must be a string")
+        for key, value in data.get("options", {}).items():
+            kind = _OPTION_TYPES.get(key)
+            if kind is not None and type(value) is not kind:
+                noun = "a boolean" if kind is bool else "an integer"
+                raise UsageError(f"session option {key!r} must be {noun}")
         try:
             ring = QuotientRing(data["p"], data["variables"], data.get("relations", []))
         except (ParseError, RingError) as exc:
@@ -339,7 +348,7 @@ def _cmd_tc(session, args):
         session.ideal(args.J),
         session.element(args.c),
         _e_max(session, args),
-        bool(session.options.get("assume_domain", False)),
+        session.options.get("assume_domain", False),
     )
     return 0, {
         "kind": verdict.kind,
@@ -354,7 +363,7 @@ def _cmd_frational(session, args):
         session.ideal(args.J),
         session.element(args.c),
         _e_max(session, args),
-        bool(session.options.get("assume_domain", False)),
+        session.options.get("assume_domain", False),
     )
     return 0, {
         "verdict": report.verdict,

@@ -28,7 +28,6 @@ from fractions import Fraction
 from . import linalg
 from .graded import gr_of_ideal
 from .ideals import Ideal
-from .linalg import _MAX_MATRIX_CELLS
 from .ring import Polynomial, QuotientRing, RingError, grevlex_key, monomial_divides
 
 
@@ -169,8 +168,8 @@ def _levels(a: Ideal, target: Ideal, seeds):
     Level t + 1 row-reduces the normal forms of level t times each generator
     of a, so a level never holds more elements than dim_k S/target, however
     many products of generators it stands for. Each level also generates
-    a^t * (seeds) + target modulo the target. A level whose matrix would pass
-    the Macaulay cell bound is refused with a RingError.
+    a^t * (seeds) + target modulo the target. `linalg` refuses a level whose
+    matrix passes the cell bound with a RingError.
 
     Rows stay term dicts: NF(f * g) comes from one `Ideal.multiplier` per
     generator g, whose table serves every level of this call only.
@@ -181,8 +180,6 @@ def _levels(a: Ideal, target: Ideal, seeds):
     while True:
         rows = [row for row in rows if row]
         columns = sorted({m for row in rows for m in row}, key=grevlex_key, reverse=True)
-        if len(rows) * len(columns) > _MAX_MATRIX_CELLS:
-            raise RingError(f"a nu level of {len(rows)} x {len(columns)} cells exceeds {_MAX_MATRIX_CELLS}")
         reduced = [row for _, row in linalg.echelon(rows, columns, a.ring.p)]
         if not reduced:
             return levels

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 
 from . import linalg
 from .ideals import Ideal, _add_scaled, buchberger, zero_ideal
-from .linalg import _MAX_MATRIX_CELLS
 from .ring import (
     Polynomial,
     QuotientRing,
@@ -105,17 +104,13 @@ def _product_rows(gen_polys, nvars: int, D: int):
     """The products x^m * g with deg x^m <= D - ord(g), as full term dicts, one at a time.
 
     Cut above degree D, they span the image in S/m^(D+1) of the ideal the g
-    generate. Raises TruncationError, before building anything, when they
-    make more than _MAX_MATRIX_CELLS cells over the monomials of degree <= D.
+    generate. Raises TruncationError, before building anything, when
+    `linalg.check_cells` refuses them over the monomials of degree <= D.
     """
     gens = [g for g in gen_polys if g.min_degree() <= D]
     nrows = sum(math.comb(D - g.min_degree() + nvars, nvars) for g in gens)
     ncols = math.comb(max(D, 0) + nvars, nvars)
-    if nrows * ncols > _MAX_MATRIX_CELLS:
-        raise TruncationError(
-            f"Macaulay matrix of {nrows} x {ncols} cells through degree {D} "
-            f"exceeds the bound of {_MAX_MATRIX_CELLS} cells"
-        )
+    linalg.check_cells(nrows, ncols, f"Macaulay matrix through degree {D}", TruncationError)
     return (
         {monomial_mul(gm, m): c for gm, c in g.terms.items()}
         for g in gens
@@ -254,6 +249,8 @@ def verify_gr_claim(claimed, ring: QuotientRing, D: int | None = None) -> GrClai
     """Check a claimed initial ideal: realizability of generators + Hilbert agreement."""
     if D is None:
         D = default_truncation(ring.relations)
+    if D < 0:
+        raise RingError("D must be nonnegative")
     claimed_polys = [ring.parse(g) if isinstance(g, str) else transfer(g, ring) for g in claimed]
     for g in claimed_polys:
         if not g.is_homogeneous() or g.is_zero():

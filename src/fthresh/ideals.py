@@ -43,7 +43,6 @@ import heapq
 import itertools
 
 from . import linalg
-from .linalg import _MAX_MATRIX_CELLS
 from .ring import (
     DivisorIndex,
     Polynomial,
@@ -77,17 +76,14 @@ def _support(m):
     return sum(itertools.compress(_BITS, m))
 
 
-def _normal_form_terms(terms, reducers, p, key, masks=None):
+def _normal_form_terms(terms, reducers, p, key, masks):
     """Full normal form of a term dict against (lead, terms) reducer pairs.
 
-    Reducers must be monic. masks[i] is `_support` of the i-th lead (computed
-    here when not given): a lead with a variable that m lacks cannot divide m,
-    so it is skipped before `monomial_divides`. The order key of a monomial is
-    computed once, when it first enters the work dict. Returns a new dict; the
-    input is not mutated.
+    Reducers must be monic. masks[i] is `_support` of the i-th lead: a lead
+    with a variable that m lacks cannot divide m, so it is skipped before
+    `monomial_divides`. The order key of a monomial is computed once, when it
+    first enters the work dict. Returns a new dict; the input is not mutated.
     """
-    if masks is None:
-        masks = [_support(lead) for lead, _ in reducers]
     work = dict(terms)
     rank = {m: key(m) for m in work}
     remainder: dict = {}
@@ -670,20 +666,15 @@ class Ideal:
         std = self.standard_monomials()
         n = self.ring.nvars
         units = [tuple(int(i == v) for i in range(n)) for v in range(n)]
-
-        def refuse_past_bound(nkeys):  # kernel reduces one matrix row per key
-            if nkeys * len(std) > _MAX_MATRIX_CELLS:
-                raise RingError(f"a socle matrix of {nkeys} x {len(std)} cells exceeds {_MAX_MATRIX_CELLS}")
-
-        # the row of s holds the normal forms of x_v * s, keyed by (v, monomial); a standard
+        # kernel reduces one row per key (v, monomial) of the normal forms of x_v * s; a standard
         # x_v * s is its own normal form, so the staircase alone bounds the keys from below
         standard = set(std)
-        refuse_past_bound(sum(monomial_mul(s, u) in standard for s in std for u in units))
+        nkeys = sum(monomial_mul(s, u) in standard for s in std for u in units)
+        linalg.check_cells(nkeys, len(std), "a socle matrix")
         rows = [
             {(v, t): c for v, u in enumerate(units) for t, c in self._monomial_nf(monomial_mul(s, u)).items()}
             for s in std
         ]
-        refuse_past_bound(len({key for row in rows for key in row}))
         kernel = linalg.kernel(rows, self.ring.p)
         reps = [Polynomial(self.ring, {m: c for m, c in zip(std, x) if c}) for x in kernel]
         reps.sort(key=lambda f: grevlex_key(_leading(f.terms, grevlex_key)))

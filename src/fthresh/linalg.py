@@ -15,9 +15,18 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import NamedTuple
 
-# Most cells (rows x columns) of a matrix; callers count them and refuse a larger
-# one before building it. The largest the tests and benchmark build has 1,597,596.
+from .ring import RingError
+
+# Most cells (rows x columns) of a matrix `rref` reduces; a caller that can count a matrix
+# refuses a larger one through `check_cells` before building it. The largest the tests and
+# benchmark build has 1,597,596.
 _MAX_MATRIX_CELLS = 2**27
+
+
+def check_cells(nrows: int, ncols: int, what: str, error=RingError) -> None:
+    """Raise `error` when an nrows x ncols matrix, named `what`, has more than _MAX_MATRIX_CELLS cells."""
+    if nrows * ncols > _MAX_MATRIX_CELLS:
+        raise error(f"{what} of {nrows} x {ncols} cells exceeds the bound of {_MAX_MATRIX_CELLS} cells")
 
 
 class Matrix(NamedTuple):
@@ -46,8 +55,9 @@ def rref(matrix: Matrix, p: int):
     cleared from the older pivot rows through a column-to-rows index. While
     reducing, pivot rows keep only their tails (the pivot entry 1 is implied),
     and a tail holds no pivot column, so one pass over a row's pivot columns
-    reduces it.
+    reduces it. A matrix past the cell bound is refused before any row is read.
     """
+    check_cells(len(matrix.rows), matrix.width, "a matrix")
     tails = {}  # pivot column -> {column: entry} right of it, outside every pivot column
     users = defaultdict(set)  # column -> pivot columns whose tails hold it
     for entries in matrix.rows:

@@ -172,12 +172,6 @@ class DivisorIndex:
                     yield head + (first, left - first)
 
 
-def monomials_outside(gens, nvars: int, degree: int):
-    """Yield the exponent tuples of the given degree that no tuple in gens divides, in monomials_of_degree order."""
-    index = DivisorIndex(gens, nvars)
-    return index.outside(degree, index.everything)
-
-
 def monomials_up_to_degree(nvars: int, degree: int):
     for d in range(degree + 1):
         yield from monomials_of_degree(nvars, d)

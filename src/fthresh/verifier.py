@@ -24,7 +24,6 @@ from .graded import (
     ord_of,
 )
 from .ideals import Ideal, zero_ideal
-from .linalg import _MAX_MATRIX_CELLS
 from .ring import (
     Polynomial,
     QuotientRing,
@@ -52,11 +51,10 @@ def _injective(basis, image, width: int, p: int) -> bool:
     """Rank test: whether the linear map sending each basis element s to the term dict image(s) is injective.
 
     The images fill at most `width` columns. The len(basis) x width cells are
-    counted before any image is built, and a larger count than
-    _MAX_MATRIX_CELLS is refused with a RingError.
+    counted before any image is built, and `linalg.check_cells` refuses too
+    many with a RingError.
     """
-    if len(basis) * width > _MAX_MATRIX_CELLS:
-        raise RingError(f"a rank test of {len(basis)} x {width} cells exceeds {_MAX_MATRIX_CELLS}")
+    linalg.check_cells(len(basis), width, "a rank test")
     return linalg.rank([image(s) for s in basis], p) == len(basis)
 
 

@@ -103,6 +103,13 @@ def test_verify_gr_exit_codes():
     assert code == 1 and not report["results"]["passed"]
 
 
+def test_verify_gr_negative_degree_is_refused_before_the_claim_is_checked(capsys):
+    # x^5 is not the initial form of any relation, so a late check would report a failed claim
+    argv = ["verify-gr", "--session", session_path("ex-blowup.json"), "--a", "x*y,x^5", "--degree", "-1"]
+    assert main(argv) == 2
+    assert "D must be nonnegative" in capsys.readouterr().err
+
+
 def test_verify_thmA_on_blowup():
     code, report = run_report(
         ["verify-thmA", "--session", session_path("ex-blowup.json"), "--b", "b", "--e-max", "2"]
@@ -183,9 +190,19 @@ def test_session_that_is_not_an_object_is_a_usage_error(document, tmp_path, caps
         {"ideals": {"a": ["x", 5]}},
         {"variables": "xy"},
         {"relations": "x*y"},
+        # each option below made some command crash with exit 1, the failed-check code;
+        # the truthy "no" also let tc treat GF(2)[x,y]/(x*y) as a domain
+        {"options": {"D": "8"}},
+        {"options": {"D": True}},
+        {"options": {"e_max": 2.5}},
+        {"options": {"seed": "a"}},
+        {"options": {"max_denominator": None}},
+        {"options": {"assume_domain": "no"}},
+        {"options": {"assume_domain": 1}},
     ],
     ids=["ideal-number", "element-number", "variable-numbers", "relation-number",
-         "ideal-generator-number", "variables-string", "relations-string"],
+         "ideal-generator-number", "variables-string", "relations-string", "D-string", "D-bool",
+         "e_max-float", "seed-string", "max_denominator-null", "assume_domain-string", "assume_domain-int"],
 )
 def test_session_value_of_the_wrong_type_is_a_usage_error(fields, tmp_path, capsys):
     path = tmp_path / "session.json"

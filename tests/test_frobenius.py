@@ -294,11 +294,11 @@ def test_nu_level_past_the_cell_bound_is_refused(regular2, monkeypatch):
     # the basis (y^2 + x, x*y, x^2) of a is not monomial, so the scan takes the
     # level chain; its widest level matrix modulo (x^4, y^4) reduces the 6
     # products that make level 3, over 5 monomials
-    monkeypatch.setattr(frobenius, "_MAX_MATRIX_CELLS", 29)
+    monkeypatch.setattr(linalg, "_MAX_MATRIX_CELLS", 29)
     a = Ideal(regular2, ["x + y^2", "x*y"])
-    with pytest.raises(RingError, match="6 x 5 cells exceeds 29"):
+    with pytest.raises(RingError, match="6 x 5 cells exceeds the bound of 29 cells"):
         nu(a, regular2.maximal_ideal(), 2)
-    monkeypatch.setattr(frobenius, "_MAX_MATRIX_CELLS", 30)
+    monkeypatch.setattr(linalg, "_MAX_MATRIX_CELLS", 30)
     assert nu(a, regular2.maximal_ideal(), 2).nu == 4
 
 

@@ -174,7 +174,7 @@ def test_hilbert_data_reads_the_one_matrix(monkeypatch):
     monkeypatch.setattr(QuotientRing, "power_of_maximal_ideal", no_power)
     assert hilbert_data(ring, 7) == [1, 6, 18, 40, 75, 126, 196, 286]
     start = time.perf_counter()
-    with pytest.raises(TruncationError, match="116280 x 74613 cells through degree 16"):
+    with pytest.raises(TruncationError, match="through degree 16 of 116280 x 74613 cells"):
         hilbert_data(ring, 16)
     assert time.perf_counter() - start < 1.0
 
@@ -201,7 +201,7 @@ def test_ord_and_initial_form_read_the_relations_matrix(monkeypatch):
 def test_ord_of_a_relation_past_the_cell_bound_is_refused():
     ring = Session.load(session_path("ex-determinantal.json")).ring
     start = time.perf_counter()
-    with pytest.raises(TruncationError, match="through degree 11 exceeds the bound"):
+    with pytest.raises(TruncationError, match="through degree 11 of [0-9]+ x [0-9]+ cells exceeds the bound"):
         ord_of(ring.relations[1], ring, 30)
     assert time.perf_counter() - start < 10.0
 
@@ -454,7 +454,7 @@ def test_determinantal_cone_at_the_default_truncation_is_refused_before_any_row(
         raise AssertionError("a product row was built")
 
     monkeypatch.setattr(graded, "monomial_mul", no_rows)
-    with pytest.raises(TruncationError, match="116280 x 74613 cells through degree 16"):
+    with pytest.raises(TruncationError, match="through degree 16 of 116280 x 74613 cells"):
         hilbert_data(ring, 16)
     assert ring_dimension(gr_presentation(ring)) == 3
 

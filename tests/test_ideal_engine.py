@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fthresh import Ideal, QuotientRing, RingError, ring_dimension
-from fthresh import ideals
+from fthresh import ideals, linalg
 from fthresh.cli import Session
 from fthresh.ideals import buchberger
 from fthresh.ring import elimination_key, grevlex_key, monomial_divides, monomials_of_degree
@@ -123,10 +123,10 @@ def test_socle_requires_m_primary(regular2):
 def test_socle_past_the_cell_bound_is_refused(node4, monkeypatch):
     # the socle kernel of (x^8, y^8, z^8, w^8) + (x*y) reduces 2576 keys x 960 staircase monomials
     target = node4.maximal_ideal().bracket(8)
-    monkeypatch.setattr(ideals, "_MAX_MATRIX_CELLS", 2576 * 960 - 1)
+    monkeypatch.setattr(linalg, "_MAX_MATRIX_CELLS", 2576 * 960 - 1)
     with pytest.raises(RingError, match="socle matrix of 2576 x 960 cells exceeds"):
         target.socle()
-    monkeypatch.setattr(ideals, "_MAX_MATRIX_CELLS", 2576 * 960)
+    monkeypatch.setattr(linalg, "_MAX_MATRIX_CELLS", 2576 * 960)
     assert len(target.socle()) == 2
 
 
@@ -265,7 +265,8 @@ def test_memoized_normal_form_matches_direct_reduction(seed, p, relations, m_pri
     basis = buchberger([g.terms for g in ideal.generators + ring.relations], p)
     probes = list(_random_ideal(rng, ring, count=12, max_deg=3).generators)
     probes += [ring.monomial(m) for f in probes for m in f.terms]
-    expected = [ideals._normal_form_terms(f.terms, basis, p, grevlex_key) for f in probes]
+    masks = [ideals._support(lead) for lead, _ in basis]
+    expected = [ideals._normal_form_terms(f.terms, basis, p, grevlex_key, masks) for f in probes]
     warm = Ideal(ring, ideal.generators)
     for i in rng.sample(range(len(probes)), len(probes)):
         assert warm.normal_form(probes[i]).terms == expected[i]

@@ -12,6 +12,8 @@ definition, so a replaced helper cannot stay behind. Only `self` has its
 attributes assigned or its private attributes read: another object's state is
 reached through its methods. No module uses `functools.cache` or
 `functools.lru_cache`: a global cache would outlive the rings it serves.
+Only `linalg` names the matrix cell bound `_MAX_MATRIX_CELLS`: every other
+module goes through `linalg.check_cells`, so the bound has one owner.
 Every entry point that `perfbench/tracer.py` wraps resolves in the package,
 so a rename cannot break the traced runs.
 `fthresh.__all__` lists exactly the names `__init__.py` imports, so a deleted
@@ -109,6 +111,12 @@ def test_importing_the_package_and_the_oracles_leaves_numpy_unloaded():
         env={**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC.parent), str(tests)])},
     )
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[path.stem for path in MODULES])
+def test_only_linalg_names_the_cell_bound(path):
+    # another module comparing its own counts with the bound would be a second owner of the policy
+    assert ("_MAX_MATRIX_CELLS" in path.read_text()) == (path.name == "linalg.py")
 
 
 def test_every_private_definition_is_referenced():

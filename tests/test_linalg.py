@@ -10,7 +10,8 @@ under the column keys, and `rank`, `kernel` and `solve`, which take term-dict
 rows, are checked through the oracle's ranks. Renaming the keys or reordering
 them inside each row leaves those three unchanged. The benchmark tracer's
 `_cells` sizes what the four hand `rref` as the rows x columns of the dense
-matrix it stands for.
+matrix it stands for, and `rref` refuses that size past the cell bound
+whichever of the four hands it over.
 """
 
 import importlib.util
@@ -23,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import session_path
-from fthresh import QuotientRing, linalg
+from fthresh import QuotientRing, RingError, linalg
 from fthresh.linalg import _renumber
 from fthresh.ring import grevlex_key, monomial_mul, monomials_up_to_degree
 from oracles import rref_mod_p
@@ -250,3 +251,28 @@ def test_tracer_sizes_every_rref_call_as_rows_times_columns(monkeypatch):
     # echelon: one row per input row over the three keys; the other three: one row per key
     # (those the rows hold, and z through solve's target), one column per input row
     assert seen == [(12.0, 4, 3), (8.0, 2, 4), (15.0, 3, 5), (8.0, 2, 4)]
+
+
+_BOUND_ROWS = [{"x": 1, "y": 2}, {"y": 1}, {}, {"x": 2, "y": 1}]
+
+
+@pytest.mark.parametrize(
+    "call,shape",
+    [
+        (lambda: linalg.echelon(_BOUND_ROWS, ["x", "y", "z"], 3), (4, 3)),
+        (lambda: linalg.rank(_BOUND_ROWS, 3), (2, 4)),
+        (lambda: linalg.solve(_BOUND_ROWS, {"z": 1}, 3), (3, 5)),
+        (lambda: linalg.kernel(_BOUND_ROWS, 3), (2, 4)),
+    ],
+    ids=["echelon", "rank", "solve", "kernel"],
+)
+def test_every_entry_point_is_held_to_the_cell_bound(call, shape, monkeypatch):
+    # the shapes are those the tracer test above sees: rref checks what it is handed
+    nrows, ncols = shape
+    cells = nrows * ncols
+    monkeypatch.setattr(linalg, "_MAX_MATRIX_CELLS", cells)
+    call()
+    monkeypatch.setattr(linalg, "_MAX_MATRIX_CELLS", cells - 1)
+    with pytest.raises(RingError, match=f"of {nrows} x {ncols} cells exceeds the bound of {cells - 1} cells"):
+        call()
+

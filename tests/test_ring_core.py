@@ -13,7 +13,6 @@ from fthresh.ring import (
     monomial_lcm,
     monomial_mul,
     monomials_of_degree,
-    monomials_outside,
 )
 
 
@@ -182,7 +181,8 @@ def test_monomials_outside_is_the_filtered_sweep(case):
     expected = [
         m for m in monomials_of_degree(nvars, degree) if not any(monomial_divides(g, m) for g in gens)
     ]
-    assert list(monomials_outside(gens, nvars, degree)) == expected
+    index = DivisorIndex(gens, nvars)
+    assert list(index.outside(degree, index.everything)) == expected
 
 
 @st.composite
@@ -214,7 +214,8 @@ def test_monomials_outside_cuts_m_primary_staircases_exactly(case):
     expected = [
         m for m in monomials_of_degree(nvars, degree) if not any(monomial_divides(g, m) for g in gens)
     ]
-    assert list(monomials_outside(gens, nvars, degree)) == expected
+    index = DivisorIndex(gens, nvars)
+    assert list(index.outside(degree, index.everything)) == expected
 
 
 def _random_exponent(rng):

@@ -13,7 +13,7 @@ from fthresh import (
     check_superficial,
     check_theorem_A_randomized,
 )
-from fthresh import linalg, verifier
+from fthresh import linalg
 from fthresh.graded import _outside_pivots, _relation_echelon
 from fthresh.verifier import (
     _colon_ideal,
@@ -126,9 +126,9 @@ def test_colon_rank_test_counts_its_cells_first(regular2, monkeypatch):
         ranks.append(len(rows))
         return rank(rows, p)
 
-    monkeypatch.setattr(verifier, "_MAX_MATRIX_CELLS", 17)
+    monkeypatch.setattr(linalg, "_MAX_MATRIX_CELLS", 17)
     monkeypatch.setattr(linalg, "rank", counted)
-    with pytest.raises(RingError, match="a rank test of 3 x 6 cells exceeds 17"):
+    with pytest.raises(RingError, match="a rank test of 3 x 6 cells exceeds the bound of 17 cells"):
         check_superficial(regular2.parse("x"), 0, 4)
     assert ranks == [0, 1]
 
