@@ -465,10 +465,10 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """One flat parser: every command shares one flag set; `_argv_rules_hold` does the rest."""
+def _flat_parser(usage: str | None) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fthresh",
+        usage=usage,
         description="Frobenius invariants of local rings over prime fields",
     )
     parser.add_argument("command", choices=[*_COMMANDS, "report"])
@@ -478,6 +478,16 @@ def build_parser() -> argparse.ArgumentParser:
     for flag in ("e", "e-max", "degree", "trials", "seed", "max-denominator"):
         parser.add_argument(f"--{flag}", type=int)
     return parser
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """One flat parser: every command shares one flag set; `_argv_rules_hold` does the rest.
+
+    While a parser's usage is None, `parse_intermixed_args` formats the whole
+    usage line on every call, so the line is formatted once, from a first
+    parser, and handed to the returned one.
+    """
+    return _flat_parser(_flat_parser(None).format_usage().removeprefix("usage: ").rstrip("\n"))
 
 
 # built once: parse_intermixed_args restores the state it changes while it parses, so calls

@@ -7,17 +7,23 @@ drops the S-pairs that the coprime-lead and chain criteria show to reduce to
 zero; reduced bases are unique for the fixed grevlex order, so handles compare
 ideals by comparing bases.
 
-Basis elements are monic (lead, terms) pairs: the leading monomial is found
-once, when an element enters the basis, and travels with it from `buchberger`
-to the `Ideal` handle (`_gb_leads`), which reduces and tests staircases from
-the stored leads. Each S-pair is ranked once, when it is created, and waits
-on a heap until it is the smallest pending pair. Each lead also carries a
-support bitmask (`_support`), so a reduction skips a reducer whose lead uses
-a variable that the monomial at hand lacks without comparing exponents. The
+Basis elements are monic (lead, terms) pairs, their terms in descending
+order: the leading monomial travels with its element from `buchberger` to the
+`Ideal` handle (`_gb_leads`), which reduces and tests staircases from the
+stored leads. One basis computation keeps one order-key table (`_OrderKeys`):
+each monomial it meets gets its sort key once, and the reductions, the pair
+heap and the final sort all read it. A reduction pops its leading monomials
+from a heap on that table, so its remainder comes out in descending order,
+lead first. Each S-pair is ranked once, when it is created, and waits on a
+heap until it is the smallest pending pair. Each lead also carries a support
+bitmask (`_support`), so a reduction skips a reducer whose lead uses a
+variable that the monomial at hand lacks without comparing exponents. The
 pair update sets the free pairs (coprime leads, or two monomials) aside
 first, takes lcms only for the other pairs, and runs the chain filter over
 their lcm classes, then against the leads of the free partners; bases of
 monomial-heavy inputs such as m^k + L thus cost no lcm per monomial pair.
+The final interreduction reduces tails only: a one-term element passes as it
+is, and no lead divides a monomial below it.
 
 A normal form modulo a reduced basis is unique and linear, so a handle
 reduces each monomial once: `Ideal.normal_form(f)` is the sum of c * NF(x^m)
@@ -33,14 +39,15 @@ element, with no tail, maps it at once to one shared empty result. The same
 index walks the staircase, with every lead live, or with only the monomial
 elements live for the candidates of a sweep. A reduced basis gives unique
 normal forms, so which divisor reduces a monomial changes no result.
-Buchberger and `_reduce_basis` reduce against a reducer list that grows as
-they go, so they keep `_normal_form_terms`.
+Buchberger reduces against a reducer list that grows as it goes, so a memo
+cannot serve it: its reductions are `_normal_form_terms`, on the heap.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+from operator import neg
 
 from . import linalg
 from .ring import (
@@ -76,20 +83,59 @@ def _support(m):
     return sum(itertools.compress(_BITS, m))
 
 
-def _normal_form_terms(terms, reducers, p, key, masks):
-    """Full normal form of a term dict against (lead, terms) reducer pairs.
+def _grevlex_descending(m):
+    """A sort key ascending where `grevlex_key` descends: the negated degree, then the exponents reversed."""
+    return (-sum(m),) + m[::-1]
+
+
+def _elimination_descending(m):
+    """A sort key ascending where `elimination_key` descends: the negated tag exponent, then as grevlex."""
+    return (-m[0], m[0] - sum(m)) + m[:0:-1]
+
+
+_DESCENDING = {grevlex_key: _grevlex_descending, elimination_key: _elimination_descending}
+
+
+class _OrderKeys(dict):
+    """The order-key table of one basis computation: monomial -> descending sort key, computed on first use.
+
+    A smaller value is a larger monomial, so a min-heap pops the leading
+    monomial first; the values are flat int tuples, so negated entrywise they
+    ascend with the order.
+    """
+
+    __slots__ = ("descending",)
+
+    def __init__(self, key):
+        super().__init__()
+        self.descending = _DESCENDING[key]
+
+    def __missing__(self, m):
+        value = self[m] = self.descending(m)
+        return value
+
+
+def _normal_form_terms(terms, reducers, p, ranks, masks):
+    """Full normal form of a term dict, or of its items, against (lead, terms) reducer pairs, descending.
 
     Reducers must be monic. masks[i] is `_support` of the i-th lead: a lead
     with a variable that m lacks cannot divide m, so it is skipped before
-    `monomial_divides`. The order key of a monomial is computed once, when it
-    first enters the work dict. Returns a new dict; the input is not mutated.
+    `monomial_divides`. ranks is the `_OrderKeys` table of the computation.
+    Each monomial is pushed on a heap once, when it first enters the work
+    dict; a term that cancels stays there with coefficient zero and is
+    skipped when popped. A reduction only adds monomials below the popped
+    one, so the heap pops in strictly descending order and the remainder
+    lists the leading term first. Returns a new dict; the input is not mutated.
     """
     work = dict(terms)
-    rank = {m: key(m) for m in work}
+    heap = [(ranks[m], m) for m in work]
+    heapq.heapify(heap)
     remainder: dict = {}
-    while work:
-        m = max(work, key=rank.__getitem__)
+    while heap:
+        m = heapq.heappop(heap)[1]
         c = work.pop(m)
+        if not c:
+            continue
         outside = ~_support(m)
         for mask, (lead, g_terms) in zip(masks, reducers):
             if not mask & outside and monomial_divides(lead, m):
@@ -98,13 +144,12 @@ def _normal_form_terms(terms, reducers, p, key, masks):
                     if gm == lead:
                         continue
                     mm = monomial_mul(gm, shift)
-                    v = (work.get(mm, 0) - c * gc) % p
-                    if v:
-                        work[mm] = v
-                        if mm not in rank:
-                            rank[mm] = key(mm)
+                    v = work.get(mm)
+                    if v is None:
+                        work[mm] = -c * gc % p
+                        heapq.heappush(heap, (ranks[mm], mm))
                     else:
-                        work.pop(mm, None)
+                        work[mm] = (v - c * gc) % p
                 break
         else:
             remainder[m] = c
@@ -140,12 +185,12 @@ def _divide_with_quotient(terms, divisor_terms, p, key):
     return quotient, remainder
 
 
-def _monic(terms, p, key):
-    """(lead, terms) of a nonzero term dict, scaled to a monic leading term."""
-    lead = _leading(terms, key)
+def _monic(terms, p):
+    """(lead, terms) of a nonzero normal form, whose first term leads, scaled to a monic leading term."""
+    lead = next(iter(terms))
     lc = terms[lead]
     if lc == 1:
-        return lead, dict(terms)
+        return lead, terms
     inv = pow(lc, p - 2, p)
     return lead, {m: (c * inv) % p for m, c in terms.items()}
 
@@ -167,14 +212,16 @@ def _s_poly(f, g, p):
 
 
 def buchberger(generator_terms, p, key=grevlex_key):
-    """Reduced Groebner basis, as monic (lead, terms) pairs sorted by ascending lead.
+    """Reduced Groebner basis, as monic (lead, terms) pairs sorted by ascending lead, terms descending.
 
     Each element's leading monomial and its support mask (`_support`) are
     found once, when it enters the basis, and the basis list doubles as the
     reducer list of every normal form. Pair selection is the normal strategy:
     a pair (i, j) is ranked once, when it is created, by
     (deg lcm, key(lcm), i, j) and pushed on a heap, so pairs are taken by
-    minimal lcm degree, ties by the lcm monomial, then by index.
+    minimal lcm degree, ties by the lcm monomial, then by index; key(lcm) is
+    read from the order-key table, negated. `key` is `grevlex_key` or
+    `elimination_key`.
 
     Pairs are kept by the Gebauer-Moeller update (Gebauer-Moeller 1988) as
     each element h enters:
@@ -197,13 +244,14 @@ def buchberger(generator_terms, p, key=grevlex_key):
     """
     basis: list = []
     masks: list = []
+    ranks = _OrderKeys(key)
     polys: list = []  # indices of the basis elements with more than one term
     monomials: list = []  # (lead, support mask) of the one-term basis elements
     pairs: list = []
     live: dict = {}  # (i, j) -> (lcm, its support mask), for the queued pairs not dropped
 
     def enter(terms):
-        lead, monic = _monic(terms, p, key)
+        lead, monic = _monic(terms, p)
         mask = _support(lead)
         for (i, j), (tau, tau_mask) in list(live.items()):
             if (
@@ -236,7 +284,7 @@ def buchberger(generator_terms, p, key=grevlex_key):
                 not w_mask & ~tau_mask and monomial_divides(w, tau) for w, w_mask in itertools.chain(free, coprime)
             ):
                 live[i, k] = (tau, tau_mask)
-                heapq.heappush(pairs, (sum(tau), key(tau), i, k))
+                heapq.heappush(pairs, (sum(tau), tuple(map(neg, ranks[tau])), i, k))
         basis.append((lead, monic))
         masks.append(mask)
         if is_monomial:
@@ -246,7 +294,7 @@ def buchberger(generator_terms, p, key=grevlex_key):
 
     for terms in generator_terms:
         if terms:
-            nf = _normal_form_terms(terms, basis, p, key, masks)
+            nf = _normal_form_terms(terms, basis, p, ranks, masks)
             if nf:
                 enter(nf)
     while pairs:
@@ -254,28 +302,32 @@ def buchberger(generator_terms, p, key=grevlex_key):
         if live.pop((i, j), None) is None:
             continue
         s = _s_poly(basis[i], basis[j], p)
-        nf = s and _normal_form_terms(s, basis, p, key, masks)
+        nf = s and _normal_form_terms(s, basis, p, ranks, masks)
         if nf:
             enter(nf)
-    return _reduce_basis(basis, p, key)
+    return _reduce_basis(basis, p, ranks)
 
 
-def _reduce_basis(basis, p, key):
+def _reduce_basis(basis, p, ranks):
     """Interreduce (lead, terms) pairs to the unique reduced basis, ascending by lead.
 
-    After the minimality pass no kept lead divides another, so tail reduction
-    leaves every lead, with coefficient one, in place.
+    After the minimality pass no kept lead divides another, so only tails
+    change: a one-term element passes as it is, and each other tail is reduced
+    against the whole kept list, since a lead divides no monomial below it.
+    The element is rebuilt lead first, then its reduced tail, descending.
     """
     kept: list = []
     masks: list = []  # `_support` of each kept lead
-    for lead, terms in sorted(basis, key=lambda g: key(g[0])):
+    for lead, terms in sorted(basis, key=lambda g: ranks[g[0]], reverse=True):
         mask = _support(lead)
         if not any(not h_mask & ~mask and monomial_divides(h, lead) for (h, _), h_mask in zip(kept, masks)):
             kept.append((lead, terms))
             masks.append(mask)
     return [
-        (lead, _normal_form_terms(terms, kept[:idx] + kept[idx + 1 :], p, key, masks[:idx] + masks[idx + 1 :]))
-        for idx, (lead, terms) in enumerate(kept)
+        (lead, terms)
+        if len(terms) == 1
+        else (lead, {lead: 1, **_normal_form_terms(itertools.islice(terms.items(), 1, None), kept, p, ranks, masks)})
+        for lead, terms in kept
     ]
 
 
@@ -533,10 +585,12 @@ class Ideal:
         return Ideal(self.ring, self.power_generators(t))
 
     def bracket(self, q: int) -> "Ideal":
-        """Frobenius bracket power: the ideal generated by g^q, q a power of p."""
+        """Frobenius bracket power: the ideal generated by g^q, q a power of p; q = 1 gives this handle."""
         e = _power_of_p(q, self.ring.p)
         if e is None:
             raise RingError(f"{q} is not a power of the characteristic {self.ring.p}")
+        if e == 0:
+            return self
         if q not in self._bracket_cache:
             self._bracket_cache[q] = Ideal(self.ring, [g.frobenius(e) for g in self.generators])
         return self._bracket_cache[q]

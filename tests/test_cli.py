@@ -1,3 +1,5 @@
+import argparse
+import copy
 import json
 import os
 import time
@@ -525,3 +527,21 @@ def test_one_parser_serves_calls_in_a_row(tmp_path, monkeypatch):
             separate.append(outcome(argv))
     assert [outcome(argv) for argv in forms] == separate
     assert separate[2].startswith("invalid arguments")
+
+
+def test_parsing_never_formats_the_usage_line(monkeypatch):
+    # while a parser's usage is None, parse_intermixed_args formats the whole line on every call
+    def refuse(parser, file=None):
+        raise AssertionError("format_usage called")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "format_usage", refuse)
+    regular = session_path("ex-regular.json")
+    assert run(["dim", "--session", regular])[0] == 0
+    assert run(["nu", "--session", regular, "--a", "m", "--J", "m", "--e", "1"])[0] == 0
+
+
+def test_help_text_is_the_one_argparse_formats(capsys):
+    reference = copy.copy(cli.build_parser())
+    reference.usage = None  # argparse formats the usage line itself
+    assert main(["--help"]) == 2
+    assert capsys.readouterr().out == reference.format_help()

@@ -16,7 +16,7 @@ from fthresh import (
     threshold_estimate,
     verify_theorem_A,
 )
-from fthresh import frobenius, linalg
+from fthresh import frobenius, ideals, linalg
 from fthresh.cli import Session
 from fthresh.ring import Polynomial, grevlex_key, monomials_of_degree
 from fthresh.verifier import check_monotonicity, random_m_primary, random_poly
@@ -28,6 +28,22 @@ def test_nu_regular_ring(regular2):
     record = nu(m, m, 1)
     assert record.nu == 2  # d(q-1), witnessed by (xy)^(q-1)
     assert record.verify(m, m.bracket(2))
+
+
+def test_threshold_estimate_computes_one_basis_per_bracket_power(monkeypatch):
+    # J serves e = 0 itself, so the bases are those of J, J^[2], J^[4] and J^[8]: J's is not built twice
+    ring = Session.load(session_path("ex-blowup.json")).ring
+    calls = [0]
+    buchberger = ideals.buchberger
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return buchberger(*args, **kwargs)
+
+    monkeypatch.setattr(ideals, "buchberger", counted)
+    m = ring.maximal_ideal()
+    assert threshold_estimate(m, m, 3).guess == Fraction(5, 2)
+    assert calls[0] == 4
 
 
 def test_nu_node_against_enumeration_oracle(node2):
