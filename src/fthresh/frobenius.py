@@ -288,15 +288,9 @@ def nu(a: Ideal, J: Ideal, e: int, warm_start: int | None = None) -> NuRecord:
     ring = a.ring
     q = ring.p**e
     target = J.bracket(q)
-    if target.is_unit():
-        record = NuRecord(e, q, -1, None, ("unit-bracket-ideal",))
-        if not record.verify(a, target):
-            raise RingError("certificate re-check failed for the unit-bracket case")
-        return record
     t, witness, caveats = _scan(a, target, warm_start)
-    if t < 0:
-        raise RingError("even a^0 = R is contained in a proper bracket power")
-    record = NuRecord(e, q, t, witness, caveats)
+    # only a unit target absorbs a^0 = R, and verify accepts t = -1 for that target alone
+    record = NuRecord(e, q, t, witness, ("unit-bracket-ideal",) if t < 0 else caveats)
     if not record.verify(a, target):
         raise RingError("nu certificate re-check failed; this is a bug")
     return record

@@ -9,9 +9,9 @@ is spanned by the products x^m * g, deg x^m <= D - ord(g), of its generators,
 cut above degree D, whose RREF over columns ascending in degree gives every
 piece in(I)_d, d <= D; for m-primary I the pieces below its nilpotency degree
 N and the degree-N monomials generate in(I). Each ring keeps its relations'
-echelon, grown on demand: h_d is the number of degree-d monomials minus its
-pivots of degree d, and ord(f) is the first D at which f survives reduction
-modulo m^(D+1) + L; what survives is in(f).
+echelon through each degree it was asked for: h_d is the number of degree-d
+monomials minus its pivots of degree d, and ord(f) is the first D at which f
+survives reduction modulo m^(D+1) + L; what survives is in(f).
 """
 
 from __future__ import annotations
@@ -21,12 +21,11 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from . import linalg
-from .ideals import Ideal, _add_scaled, buchberger, zero_ideal
+from .ideals import Ideal, _add_scaled, eliminate, zero_ideal
 from .ring import (
     Polynomial,
     QuotientRing,
     RingError,
-    elimination_key,
     grevlex_key,
     monomial_mul,
     monomials_of_degree,
@@ -137,18 +136,13 @@ def _echelon(gen_polys, ring: QuotientRing, D: int, key) -> dict:
 
 
 def _relation_echelon(ring: QuotientRing, D: int) -> dict:
-    """The relations' `_echelon` through some degree >= D, columns by (degree, exponents).
+    """The relations' `_echelon` through degree D, columns by (degree, exponents); one per ring and D.
 
-    The ring keeps the largest one built so far and serves every smaller D from
-    it, since its rows with a pivot of degree < k, cut below k, are the echelon
-    through k - 1. So the monomials of degree < k that are no pivot
-    (`_outside_pivots`) are a basis of R/m^k, for every k <= D + 1. Only a
-    larger D builds, so the cell bound refuses the degrees a new ring refuses.
+    Its rows with a pivot of degree < k, cut below k, are the echelon through
+    k - 1, so the monomials of degree < k that are no pivot (`_outside_pivots`)
+    are a basis of R/m^k, for every k <= D + 1.
     """
-    held = ring.cached("relation echelon", lambda: {"degree": -1})
-    if held["degree"] < D:
-        held.update(degree=D, echelon=_echelon(ring.relations, ring, D, lambda m: (sum(m), m)))
-    return held["echelon"]
+    return ring.cached(("relation echelon", D), lambda: _echelon(ring.relations, ring, D, lambda m: (sum(m), m)))
 
 
 def _outside_pivots(echelon: dict, nvars: int, D: int) -> list:
@@ -176,8 +170,8 @@ def _reduce_below(echelon: dict, terms: dict, k: int, p: int) -> dict:
 def gr_presentation(ring: QuotientRing) -> QuotientRing:
     """gr_m(R) presented as S/in(L), exactly, by t-saturation; built once per ring.
 
-    On exponents (s, x, t), the s-free elements of the basis of (g*, 1 - s*t) under the
-    elimination order generate (g*) : t^oo, whose elements at t = 0 are the initial forms of L.
+    On exponents (s, x, t), the s-free elements of the basis of (g*, 1 - s*t) (`eliminate`)
+    generate (g*) : t^oo, whose elements at t = 0 are the initial forms of L.
     """
 
     def build():
@@ -186,10 +180,8 @@ def gr_presentation(ring: QuotientRing) -> QuotientRing:
             {(0,) + m + (sum(m) - g.min_degree(),): c for m, c in g.terms.items()} for g in ring.relations
         ]
         inverse = {(0,) * (n + 2): 1, (1,) + (0,) * n + (1,): ring.p - 1}
-        basis = buchberger(starred + [inverse], ring.p, key=elimination_key)
-        at_zero = (
-            {m[1:-1]: c for m, c in terms.items() if m[-1] == 0} for lead, terms in basis if lead[0] == 0
-        )
+        saturation = eliminate(starred + [inverse], ring.p)
+        at_zero = ({m[:-1]: c for m, c in terms.items() if m[-1] == 0} for terms in saturation)
         return QuotientRing(ring.p, ring.variables, [ring.from_terms(t) for t in at_zero if t])
 
     return ring.cached("cone", build)

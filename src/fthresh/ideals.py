@@ -61,6 +61,7 @@ from .ring import (
     monomial_divides,
     monomial_lcm,
     monomial_mul,
+    transfer,
 )
 
 
@@ -355,11 +356,7 @@ class Ideal:
         seen = set()
         gens = []
         for g in generators:
-            f = ring.parse(g) if isinstance(g, str) else g
-            if f.ring is not ring:
-                if not f.ring.same_ambient(ring):
-                    raise RingError("generator from a different ambient ring")
-                f = Polynomial(ring, dict(f.terms))
+            f = ring.parse(g) if isinstance(g, str) else transfer(g, ring)
             if f.is_zero():
                 continue
             fkey = frozenset(f.terms.items())
@@ -754,27 +751,28 @@ def _power_of_p(q: int, p: int):
 # -- elimination -----------------------------------------------------------
 
 
-def _eliminate_intersection(terms_a, terms_b, p):
-    """Generators of (a ∩ b) by tag-variable elimination.
+def eliminate(tagged, p):
+    """The elements free of the tag, with the tag dropped, of the reduced basis of tagged term dicts.
 
-    Adjoins a tag variable t ordered above everything, computes a basis of
-    t*a + (1-t)*b, and keeps the elements not involving t.
+    The tag is the first exponent. Under `elimination_key` every monomial
+    with the tag is larger than every monomial without it, so an element
+    whose lead is free of the tag is free of it in every term; those elements
+    generate the ideal's intersection with the ring without the tag.
     """
-    tagged = []
-    for terms in terms_a:
-        tagged.append({(1,) + m: c for m, c in terms.items()})
+    basis = buchberger(tagged, p, key=elimination_key)
+    return [{m[1:]: c for m, c in g.items()} for lead, g in basis if not lead[0]]
+
+
+def _eliminate_intersection(terms_a, terms_b, p):
+    """Generators of (a ∩ b) by tag-variable elimination: the tag-free part of t*a + (1-t)*b."""
+    tagged = [{(1,) + m: c for m, c in terms.items()} for terms in terms_a]
     for terms in terms_b:
         tf: dict = {}
         for m, c in terms.items():
             tf[(0,) + m] = c
             tf[(1,) + m] = (-c) % p
         tagged.append(tf)
-    basis = buchberger(tagged, p, key=elimination_key)
-    out = []
-    for _, g in basis:
-        if all(m[0] == 0 for m in g):
-            out.append({m[1:]: c for m, c in g.items()})
-    return out
+    return eliminate(tagged, p)
 
 
 # -- ring-level operations ---------------------------------------------------

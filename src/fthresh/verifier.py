@@ -157,14 +157,15 @@ def _first_outside(inner: Ideal, outer: Ideal):
 
 
 def check_reduction(a: Ideal, n_max: int) -> CheckReport:
-    """Minimal n0 with m^{n+1} = a m^n for all n0 <= n <= n_max, if any."""
+    """Minimal n0 with m^{n+1} = a m^n in R_m for all n0 <= n <= n_max, if any."""
     ring = a.ring
     inputs = {"ring": repr(ring), "a": repr(a), "n_max": n_max}
     _check_generators_in_m(a)
-    # a ⊆ m gives a m^n ⊆ m^{n+1}; only m^{n+1} ⊆ a m^n is open. Once it holds
-    # it holds for every larger n (multiply by m), so the first such n is n0
+    # a ⊆ m gives a m^n ⊆ m^{n+1}. By Nakayama m^{n+1} ⊆ a m^n in R_m iff m^{n+1} ⊆ a m^n + m^{n+2},
+    # which contains a power of m, so it reads the same globally. Once it holds it holds for every
+    # larger n (multiply by m), so the first such n is n0
     power = ring.power_of_maximal_ideal
-    n0 = next((n for n in range(n_max + 1) if (a * power(n)).contains(power(n + 1))), None)
+    n0 = next((n for n in range(n_max + 1) if (a * power(n) + power(n + 2)).contains(power(n + 1))), None)
     flags = [n0 is not None and n >= n0 for n in range(n_max + 1)]
     if n0 is None:
         return CheckReport(

@@ -73,10 +73,18 @@ def test_nu_rejects_non_primary_bracket(regular2):
 
 
 def test_nu_unit_bracket_sentinel(regular2):
-    m = regular2.maximal_ideal()
+    # a unit target absorbs a^0 = R, so every kernel's scan ends at t = -1, warm start or not:
+    # the monomial sweep on a (m, and a non-maximal monomial a), the sweep on the monomial
+    # basis (x, y) of a, and the level chain on the non-monomial basis (x + y^2)
     unit = Ideal(regular2, ["1"])
-    record = nu(m, unit, 1)
-    assert record.nu == -1 and "unit-bracket-ideal" in record.caveats
+    cases = [(["x", "y"], None), (["x", "y"], 3), (["x^2", "y"], 2), (["x + y^2", "y"], None), (["x + y^2"], None)]
+    for gens, warm_start in cases:
+        a = Ideal(regular2, gens)
+        record = nu(a, unit, 1, warm_start=warm_start)
+        assert (record.nu, record.witness, record.caveats) == (-1, None, ("unit-bracket-ideal",)), gens
+        assert not frobenius.NuRecord(1, 2, 0, regular2.one()).verify(a, unit.bracket(2))
+    assert not frobenius._all_monomial(Ideal(regular2, ["x + y^2"]).basis_ideal().generators)
+    assert frobenius._all_monomial(Ideal(regular2, ["x + y^2", "y"]).basis_ideal().generators)
 
 
 def test_threshold_regular(regular2):

@@ -19,7 +19,7 @@ from fthresh import (
 from fthresh import graded
 from fthresh.cli import Session
 from fthresh.graded import TruncationError
-from fthresh.ideals import buchberger, zero_ideal
+from fthresh.ideals import eliminate, zero_ideal
 from fthresh.ring import monomials_of_degree, transfer
 from fthresh.verifier import _colon_mismatch, random_hypersurface, random_m_primary
 from conftest import session_path
@@ -87,9 +87,9 @@ def test_the_cone_is_built_once_per_ring(monkeypatch):
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return buchberger(*args, **kwargs)
+        return eliminate(*args, **kwargs)
 
-    monkeypatch.setattr(graded, "buchberger", counted)
+    monkeypatch.setattr(graded, "eliminate", counted)
     ring = QuotientRing(2, ["x", "y", "z"], ["x*y - z^3", "x^2 + y^2*z"])
     cone = gr_presentation(ring)
     assert gr_presentation(ring) is cone
@@ -279,7 +279,7 @@ def test_the_relation_echelon_is_grown_not_rebuilt(monkeypatch):
     assert str(initial_form(f, ring, 8)) == "z^3"
     assert ord_of(ring.parse("x*y - z^3"), ring, 8) == AtLeast(8)
     assert built == [2, 3, 4, 5, 6, 7]
-    # every degree through 7 is read from the one echelon the ring holds
+    # every degree through 7 is read from the echelons the ring holds
     assert hilbert_data(ring, 7) == [1, 3, 5, 7, 9, 11, 13, 15]
     assert str(initial_form(ring.parse("x^2*y + y^5"), ring, 8)) == "x*z^3"
     assert built == [2, 3, 4, 5, 6, 7]
@@ -295,7 +295,7 @@ def test_superficial_builds_one_relation_echelon_for_every_c(monkeypatch):
 
 
 def test_a_grown_relation_echelon_gives_the_answers_of_a_new_ring():
-    # one ring first builds its echelon far past the degrees asked; each answer must
+    # one ring first builds an echelon far past the degrees asked; each answer must
     # equal the one a new ring from the same inputs gives, building only what it needs
     kinds = {"order": 0, "at_least": 0, "colon_fails": 0}
     for seed in range(40):

@@ -13,7 +13,9 @@ attributes assigned or its private attributes read: another object's state is
 reached through its methods. No module uses `functools.cache` or
 `functools.lru_cache`: a global cache would outlive the rings it serves.
 Only `linalg` names the matrix cell bound `_MAX_MATRIX_CELLS`: every other
-module goes through `linalg.check_cells`, so the bound has one owner.
+module goes through `linalg.check_cells`, so the bound has one owner. Likewise
+only `ideals` calls `buchberger`, and only `ideals` and `ring` (which defines
+it) name `elimination_key`: elimination has one owner, `ideals.eliminate`.
 Every entry point that `perfbench/tracer.py` wraps resolves in the package,
 so a rename cannot break the traced runs.
 `fthresh.__all__` lists exactly the names `__init__.py` imports, so a deleted
@@ -117,6 +119,15 @@ def test_importing_the_package_and_the_oracles_leaves_numpy_unloaded():
 def test_only_linalg_names_the_cell_bound(path):
     # another module comparing its own counts with the bound would be a second owner of the policy
     assert ("_MAX_MATRIX_CELLS" in path.read_text()) == (path.name == "linalg.py")
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[path.stem for path in MODULES])
+def test_only_ideals_eliminates(path):
+    # `ideals.eliminate` is the one elimination routine: a second caller of `buchberger`, or a
+    # second user of the elimination order, would be a second path for that job
+    source = path.read_text()
+    assert ("buchberger(" in source) == (path.name == "ideals.py")
+    assert ("elimination_key" in source) == (path.name in ("ideals.py", "ring.py"))
 
 
 def test_every_private_definition_is_referenced():

@@ -59,6 +59,13 @@ def test_reduction_fails_for_deep_ideal(regular2):
     assert report.witnesses["flags"] == [False] * 5
 
 
+def test_reduction_is_local():
+    # x - x^2 = x(1 - x) and 1 - x is a unit at the origin, so a = m in R_m although a != m globally
+    for variables, gens in ((["x", "y"], ["x - x^2", "y"]), (["x"], ["x - x^2"])):
+        report = check_reduction(Ideal(QuotientRing(3, variables), gens), 4)
+        assert report.verdict == "pass" and report.details["n0"] == 0, gens
+
+
 def test_reduction_node_diagonal(node2):
     report = check_reduction(Ideal(node2, ["x+y"]), 4)
     assert report.verdict == "pass" and report.details["n0"] == 1
