@@ -4,19 +4,22 @@ nu(a, J, e) is the largest t with a^t not contained in the bracket power
 J^[p^e] (computed through lifted ideals, so quotient presentations just
 work). The bracket power contains L, so a^t + J^[q] = (a + L)^t + J^[q], and
 the kernel follows the reduced basis M of a + L rather than the generators
-of a. Monomial generators take an ascending sweep that reuses p * nu(p^(e-1))
+of a. Monomial generators take an ascending scan that reuses p * nu(p^(e-1))
 as a verified warm start. When a is the maximal ideal, the sweep over degree
 t visits only the monomials that no monomial basis element of J^[q] divides:
 the skipped ones lie in J^[q], so the first escaping monomial (the witness)
-is unchanged. Other generators take the same sweep on M when M is monomial,
-and the level chain otherwise: level t is a row-reduced basis, modulo J^[q],
-of the products of t generators of a, and the chain stops at the first
-empty level. The chain builds no product: it multiplies in normal-form
-space, through one table {m: NF(x^m * g)} per generator g
-(`Ideal.multiplier`, the multiplication matrices of FGLM) that lives for
-one chain. Either way the witness is the first escaping chain of a's own
-generators. Each record carries a dual certificate that is re-checked on
-construction.
+is unchanged. Other unseeded monomial data is scanned on exponent tuples:
+one memoized longest-chain table G over the exponents outside J^[q] gives
+nu = G(0), the witness is replayed greedily from it, and only the witness
+becomes a Polynomial; seeded scans sweep the power lists. Other generators
+take the same scan on M when M is monomial, and the level chain otherwise:
+level t is a row-reduced basis, modulo J^[q], of the products of t
+generators of a, and the chain stops at the first empty level. The chain
+builds no product: it multiplies in normal-form space, through one table
+{m: NF(x^m * g)} per generator g (`Ideal.multiplier`, the multiplication
+matrices of FGLM) that lives for one chain. Either way the witness is the
+first escaping chain of a's own generators. Each record carries a dual
+certificate that is re-checked on construction.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from fractions import Fraction
 from . import linalg
 from .graded import gr_of_ideal
 from .ideals import Ideal
-from .ring import Polynomial, QuotientRing, RingError, grevlex_key, monomial_divides
+from .ring import Polynomial, QuotientRing, RingError, grevlex_key, monomial_div, monomial_divides, monomial_mul
 
 
 @dataclass
@@ -51,9 +54,10 @@ class NuRecord:
         The witness must lie outside the target, and a^(nu+1) inside it. With
         M the monomial generators of a, or else the reduced basis of a + L
         when that is monomial, a lies in (M) and the witness in (M)^nu, term
-        by term, and a sweep finds M^(nu+1) inside the target (which contains
-        L, so (M)^t + target = a^t + target). Any other a replays the level
-        chain.
+        by term (`_in_power`), and M^(nu+1) lies inside the target (which
+        contains L, so (M)^t + target = a^t + target): for M = m a candidate
+        sweep finds no escape, for any other M a fresh longest-chain table
+        gives G(0) <= nu. Any other a replays the level chain.
         """
         if self.nu < 0:
             return target.is_unit()
@@ -62,11 +66,14 @@ class NuRecord:
         basis = a if _all_monomial(a.generators) else a.basis_ideal()
         if not _all_monomial(basis.generators):
             return len(_levels(a, target, [a.ring.one()])) - 1 == self.nu
-        return (
-            all(_in_power(basis, 1, g) for g in a.generators)
-            and _in_power(basis, self.nu, self.witness)
-            and _first_escaping(basis, self.nu + 1, target) is None
-        )
+        a_terms = [m for g in a.generators for m in g.terms]
+        if not (_in_power(basis, 1, a_terms) and _in_power(basis, self.nu, self.witness.terms)):
+            return False
+        if _is_maximal_ideal(basis):
+            return _first_escaping(basis, self.nu + 1, target) is None
+        leads = [m for m, _ in _lean_terms(basis.generators)]
+        origin = (0,) * a.ring.nvars
+        return _longest_chains(leads, target, origin)[origin] <= self.nu
 
 
 @dataclass
@@ -105,21 +112,89 @@ def _all_monomial(polys) -> bool:
     return all(len(g.terms) == 1 for g in polys)
 
 
-def _in_power(monomial_ideal: Ideal, t: int, f: Polynomial) -> bool:
-    """Whether every term of f lies in the t-th power of an ideal with monomial generators."""
+def _lean_terms(generators):
+    """(exponent, coefficient) of each monomial generator that no earlier one divides, in order.
+
+    The dropped generators are those `Ideal.power_generators` skips: a
+    product through one is a multiple of the product through its divisor.
+    """
+    lean = []
+    for g in generators:
+        ((m, c),) = g.terms.items()
+        if not any(monomial_divides(d, m) for d, _ in lean):
+            lean.append((m, c))
+    return lean
+
+
+def _longest_chains(exponents, target: Ideal, origin) -> dict:
+    """The table {v: G(v)} over the exponents reachable from `origin` by adding `exponents`.
+
+    G(v) is the most further factors from `exponents` that x^v takes while
+    staying outside the target: -1 when x^v is inside, else
+    1 + max G(v + g) over the factors g. The target is m-primary or the unit
+    ideal, so the exponents outside it are finite. A lazy DFS on an explicit
+    stack fills the table, visiting only what is reachable; membership is
+    the target's memoized `contains_monomial`. So a^t * x^v escapes the
+    target iff G(v) >= t, and nu = G(0).
+    """
+    table: dict = {}
+    stack = [(origin, None)]
+    while stack:
+        u, above = stack.pop()
+        if above is not None:
+            table[u] = 1 + max(map(table.__getitem__, above), default=-1)
+        elif u not in table:
+            if target.contains_monomial(u):
+                table[u] = -1
+                continue
+            above = [monomial_mul(u, g) for g in exponents]
+            stack.append((u, above))
+            stack.extend((w, None) for w in above if w not in table)
+    return table
+
+
+def _in_power(monomial_ideal: Ideal, t: int, monomials) -> bool:
+    """Whether every monomial, an exponent tuple, lies in the t-th power of an ideal with monomial generators.
+
+    For m that is a degree test. Otherwise a depth-first search on an
+    explicit stack looks under each x^w for t lean factors: a frame (u, r, i)
+    still needs r factors under x^u and tries the leads from index i on, and
+    `failed` maps u to the fewest factors known not to fit under x^u, shared
+    by all the monomials.
+    """
     if _is_maximal_ideal(monomial_ideal):
-        return all(sum(m) >= t for m in f.terms)
-    leads = [next(iter(g.terms)) for g in monomial_ideal.power_generators(t)]
-    return all(any(monomial_divides(lead, m) for lead in leads) for m in f.terms)
+        return all(sum(m) >= t for m in monomials)
+    leads = [m for m, _ in _lean_terms(monomial_ideal.generators)]
+    failed: dict = {}
+    for w in monomials:
+        stack = [(w, t, 0)]
+        while stack:
+            u, r, i = stack.pop()
+            if r == 0:
+                break
+            while i < len(leads) and not monomial_divides(leads[i], u):
+                i += 1
+            if i == len(leads):
+                failed[u] = min(r, failed.get(u, r))
+                continue
+            stack.append((u, r, i + 1))
+            v = monomial_div(u, leads[i])
+            if failed.get(v, r) > r - 1:
+                stack.append((v, r - 1, 0))
+        else:
+            return False
+    return True
 
 
 def _first_escaping(a: Ideal, t: int, target: Ideal, seeds=None):
     """An element of a^t * (seeds) outside the target ideal, or None if contained.
 
-    With a = m, only the target's candidate monomials g are tried: the others
-    lie in the target, and so does g * s for every seed s, so the first
-    escaping product is the same. Without seeds they are tested as exponent
-    tuples, and only the escaping one becomes a Polynomial.
+    Seeds are required unless a = m. With a = m, only the target's candidate
+    monomials g are tried: the others lie in the target, and so does g * s
+    for every seed s, so the first escaping product is the same. Without
+    seeds they are tested as exponent tuples, and only the escaping one
+    becomes a Polynomial. Other a sweep the lean power list
+    (`Ideal.power_generators`) times each seed.
     """
     if _is_maximal_ideal(a):
         candidates = target.candidate_monomials(t)
@@ -130,14 +205,15 @@ def _first_escaping(a: Ideal, t: int, target: Ideal, seeds=None):
     else:
         products = a.power_generators(t)
     for g in products:
-        for h in (g,) if seeds is None else (g * s for s in seeds):
+        for s in seeds:
+            h = g * s
             if not target.contains_poly(h):
                 return h
     return None
 
 
-def _scan_monomial(a: Ideal, target: Ideal, warm_start: int, seeds=None):
-    """Ascending sweep for all-monomial data, chaining witnesses across levels.
+def _sweep(a: Ideal, target: Ideal, warm_start: int, seeds):
+    """Ascending sweep for a = m or monomial seeds, chaining witnesses across levels.
 
     Returns None when already a^warm_start * seeds is contained (warm start
     invalid). The escape search at each next level first tries multiples of
@@ -160,6 +236,75 @@ def _scan_monomial(a: Ideal, target: Ideal, warm_start: int, seeds=None):
         if nxt is None:
             return t, witness
         t, witness = t + 1, nxt
+
+
+def _scan_exponents(a: Ideal, target: Ideal, warm_start: int):
+    """The unseeded scan of monomial a other than m, on exponent tuples, as (t, witness, caveats).
+
+    t = G(0) from one `_longest_chains` table over the lean generators. The
+    witness replays `_sweep`'s chain: the first escape at the warm start, or
+    at 0 when G(0) < warm_start, then at each next level the first escaping
+    multiple witness * g over a's generators in order (always a lean one: a
+    dropped g has an earlier divisor that escapes too), else the level's
+    first escape. That is the first escaping element of the lean power list,
+    the lexicographically first chain of lean factors that stays outside,
+    built greedily: each factor is the first g with G(s + g) >= r, the
+    factors still to place after it. The coefficient is the product of the
+    chosen generators' coefficients, and only the witness becomes a
+    Polynomial.
+    """
+    ring, p = a.ring, a.ring.p
+    lean = _lean_terms(a.generators)
+    origin = (0,) * ring.nvars
+    chains = _longest_chains([m for m, _ in lean], target, origin)
+    top = chains[origin]
+    caveats = ("warm-start-fallback",) if top < warm_start else ()
+    if top < 0:
+        return -1, None, caveats
+
+    def first_escape(length):
+        s, c = origin, 1
+        for r in reversed(range(length)):
+            for g, d in lean:
+                u = monomial_mul(s, g)
+                if chains[u] >= r:
+                    s, c = u, c * d % p
+                    break
+        return s, c
+
+    t = 0 if caveats else warm_start
+    witness, coeff = first_escape(t)
+    while t < top:
+        for g, c in lean:
+            u = monomial_mul(witness, g)
+            if not target.contains_monomial(u):
+                witness, coeff = u, coeff * c % p
+                break
+        else:
+            witness, coeff = first_escape(t + 1)
+        t += 1
+    return t, ring.monomial(witness, coeff), caveats
+
+
+def _scan_monomial(a: Ideal, target: Ideal, warm_start: int | None, seeds=None):
+    """The scan of all-monomial a and seeds as (t, witness, caveats); t = -1 if nothing escapes.
+
+    It first tries the warm start and falls back to t = 0 (caveat
+    "warm-start-fallback") when a^warm_start * (seeds) is already contained.
+    An unseeded a other than m takes the longest-chain kernel
+    (`_scan_exponents`); a = m and seeded scans take the sweep (`_sweep`).
+    """
+    if seeds is None and not _is_maximal_ideal(a):
+        return _scan_exponents(a, target, warm_start or 0)
+    caveats = ()
+    result = None
+    if warm_start:
+        result = _sweep(a, target, warm_start, seeds)
+        if result is None:
+            caveats = ("warm-start-fallback",)
+    if result is None:
+        result = _sweep(a, target, 0, seeds) or (-1, None)
+    return result + (caveats,)
 
 
 def _levels(a: Ideal, target: Ideal, seeds):
@@ -225,44 +370,34 @@ def _check_preconditions(a: Ideal, J: Ideal):
 def _scan(a: Ideal, target: Ideal, warm_start: int | None = None, seeds=None):
     """max{t : a^t * (seeds) escapes target} as (t, witness, caveats); t = -1 if never.
 
-    All-monomial generators and seeds take the monomial sweep on a itself,
-    which first tries the warm start and falls back to t = 0 (caveat
-    "warm-start-fallback") when a^warm_start * (seeds) is already contained.
-    Other generators take the same sweep on the reduced basis M of a + L when
-    M and the seeds are monomial (the target contains L, so a^t + target =
-    M^t + target), and the level chain (`_levels`) otherwise; both ignore the
-    warm start. Then only an unseeded scan builds a witness (`_chain_witness`),
-    whose step test "rest * a^r escapes" is asked of M^r, or of level r of
-    the chain: the answers agree, so the witness does not depend on the
-    kernel. The seeded witness is None.
+    All-monomial generators and seeds take `_scan_monomial` on a itself,
+    warm start included. Other generators take the same scan on the reduced
+    basis M of a + L from t = 0 when M and the seeds are monomial (the target
+    contains L, so a^t + target = M^t + target), and the level chain
+    (`_levels`) otherwise. Then only an unseeded scan builds a witness
+    (`_chain_witness`), whose step test "rest * a^r escapes" is asked of M^r,
+    or of level r of the chain: the answers agree, so the witness does not
+    depend on the kernel. The seeded witness is None.
     """
     monomial_seeds = seeds is None or _all_monomial(seeds)
-    if not (monomial_seeds and _all_monomial(a.generators)):
-        basis = a.basis_ideal()
-        if monomial_seeds and _all_monomial(basis.generators):
-            t = (_scan_monomial(basis, target, 0, seeds) or (-1,))[0]
+    if monomial_seeds and _all_monomial(a.generators):
+        return _scan_monomial(a, target, warm_start, seeds)
+    basis = a.basis_ideal()
+    if monomial_seeds and _all_monomial(basis.generators):
+        t = _scan_monomial(basis, target, 0, seeds)[0]
 
-            def escapes(rest, r):
-                return _first_escaping(basis, r, target, [rest]) is not None
+        def escapes(rest, r):
+            return _first_escaping(basis, r, target, [rest]) is not None
 
-        else:
-            levels = _levels(a, target, [a.ring.one()] if seeds is None else seeds)
-            t = len(levels) - 1
+    else:
+        levels = _levels(a, target, [a.ring.one()] if seeds is None else seeds)
+        t = len(levels) - 1
 
-            def escapes(rest, r):
-                return any(not target.contains_poly(rest * f) for f in reversed(levels[r]))
+        def escapes(rest, r):
+            return any(not target.contains_poly(rest * f) for f in reversed(levels[r]))
 
-        witness = _chain_witness(a, target, t, escapes) if seeds is None and t >= 0 else None
-        return t, witness, ()
-    caveats = ()
-    result = None
-    if warm_start:
-        result = _scan_monomial(a, target, warm_start, seeds)
-        if result is None:
-            caveats = ("warm-start-fallback",)
-    if result is None:
-        result = _scan_monomial(a, target, 0, seeds) or (-1, None)
-    return result + (caveats,)
+    witness = _chain_witness(a, target, t, escapes) if seeds is None and t >= 0 else None
+    return t, witness, ()
 
 
 def _bracket(values, mu: int, max_denominator: int):

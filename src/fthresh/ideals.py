@@ -425,6 +425,12 @@ class Ideal:
         already negated), and combined once all of that tail's monomials,
         each smaller than it, are memoized. A reducer with no tail is a
         monomial element, and its multiples reduce to zero.
+
+        A binomial reducer x^lead -> c * x^g jumps whole powers: when lead
+        also divides n - lead, n = k * lead + r with k maximal, and the frame's
+        one tail term is c^k * x^(k*g + r). The normal form modulo a reduced
+        basis is unique, so every memoized value is the one the step-by-step
+        chain would store; only the intermediate monomials are skipped.
         """
         memo = self._nf_memo
         if m in memo:
@@ -448,13 +454,18 @@ class Ideal:
                     memo[n] = _ZERO
                     continue
                 shift = monomial_div(n, lead)
-                tail = [(monomial_mul(gm, shift), c) for gm, c in tail]
+                if len(tail) == 1 and monomial_divides(lead, shift):
+                    ((g, c),) = tail
+                    k = min(e // d for e, d in zip(n, lead) if d)
+                    tail = [(tuple(e + k * (y - d) for e, d, y in zip(n, lead, g)), pow(c, k, p))]
+                else:
+                    tail = [(monomial_mul(gm, shift), c) for gm, c in tail]
                 stack.append((n, tail))
-                stack.extend((k, None) for k, _ in tail if k not in memo)
+                stack.extend((u, None) for u, _ in tail if u not in memo)
                 continue
             out = {}
-            for k, c in tail:
-                _add_scaled(out, memo[k], c, p)
+            for u, c in tail:
+                _add_scaled(out, memo[u], c, p)
             memo[n] = out
         return memo[m]
 

@@ -16,7 +16,7 @@ from fthresh import (
     threshold_estimate,
     verify_theorem_A,
 )
-from fthresh import frobenius, ideals, linalg
+from fthresh import frobenius, fsing, ideals, linalg
 from fthresh.cli import Session
 from fthresh.ring import Polynomial, grevlex_key, monomials_of_degree
 from fthresh.verifier import check_monotonicity, random_m_primary, random_poly
@@ -578,3 +578,109 @@ def test_redundant_monomial_generators_cost_few_products(monkeypatch):
     second = nu(a, J, 2, warm_start=3 * first.nu)
     assert (first.nu, second.nu, str(second.witness)) == (5, 17, "x^17*y^17")
     assert calls[0] < 4000
+
+
+# -- monomial nu on exponent tuples: the longest-chain kernel ----------------
+
+
+def test_long_principal_scan_needs_no_recursion(regular2):
+    # 1,023 factors deep: the table, the witness replay and verify's (M)^t search all run on explicit stacks
+    a, m = Ideal(regular2, ["x"]), regular2.maximal_ideal()
+    record = nu(a, m, 10)
+    assert (record.nu, str(record.witness), record.caveats) == (1023, "x^1023", ())
+    assert record.verify(a, m.bracket(1024))
+
+
+def test_heavy_monomial_row_costs_few_products(monkeypatch):
+    # six generators in three variables: the power lists took 20.4 M products and ~56 s
+    ring = QuotientRing(3, ["x", "y", "z"])
+    a = Ideal(ring, ["x^3*y^2*z", "x*y^3*z^3", "x^2*y*z^3", "x^3", "y", "z^2"])
+    J = Ideal(ring, ["x^3", "y^3", "z"])
+    calls = [0]
+    mul = Polynomial.__mul__
+
+    def counted(f, g):
+        calls[0] += 1
+        return mul(f, g)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counted)
+    est = threshold_estimate(a, J, 2)
+    assert [r.nu for r in est.records] == [11, 38]
+    assert [str(r.witness) for r in est.records] == ["x^6*y^8*z^2", "x^24*y^26*z^8"]
+    assert (est.lower, est.upper) == (Fraction(38, 9), 5)
+    assert calls[0] < 1000
+
+
+def _power_list_scan(a, target, warm_start):
+    """(nu, witness, caveats) as the lean power lists give them: the sweep the kernel replaces.
+
+    The first escaping product at the warm start, else at 0 with the caveat;
+    then at each next level the first escaping witness * g over a's
+    generators, else that level's first escaping product.
+    """
+
+    def first(t):
+        return next((h for h in a.power_generators(t) if not target.contains_poly(h)), None)
+
+    t, caveats = warm_start or 0, ()
+    witness = first(t)
+    if witness is None and t:
+        t, caveats = 0, ("warm-start-fallback",)
+        witness = first(0)
+    if witness is None:
+        return -1, None, caveats
+    while True:
+        nxt = next((witness * g for g in a.generators if not target.contains_poly(witness * g)), None)
+        if nxt is None:
+            nxt = first(t + 1)
+        if nxt is None:
+            return t, witness, caveats
+        t, witness = t + 1, nxt
+
+
+def _monomial_draw(seed):
+    """A seeded monomial (a, J, e): p in {2, 3, 5}, 2-3 variables, relations none, x*y or x^2 - y^3; q <= 9."""
+    rng = random.Random(8100 + seed)
+    p = (2, 3, 5)[seed % 3]
+    ring = QuotientRing(p, ["x", "y", "z"][: 2 + seed % 2], rng.choice([[], ["x*y"], ["x^2 - y^3"]]))
+    a = Ideal(ring, _redundant_monomial_list(rng, ring))
+    return rng, a, random_m_primary(rng, ring), 1 if p == 5 else 1 + seed % 2
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_monomial_kernel_matches_power_lists_and_oracle(seed):
+    rng, a, J, e = _monomial_draw(seed)
+    ring, q = a.ring, a.ring.p**e
+    target = J.bracket(q)
+    base = nu(a, J, e - 1).nu
+    lean = [next(iter(g.terms)) for g in a.power_generators(1)]
+    for warm in (None, 0, rng.randint(1, 3), ring.p * base, ring.p * base + rng.randint(1, 3)):
+        record = nu(a, J, e, warm_start=warm)
+        assert (record.nu, record.witness, record.caveats) == _power_list_scan(a, target, warm)
+        if warm is None and record.nu <= 4 and len(a.generators) <= 4:
+            assert record.witness == _first_escaping_chain(a, target, record.nu)
+    if frobenius._all_monomial(target.groebner_basis()):
+        leads = [next(iter(g.terms)) for g in target.groebner_basis()]
+        assert record.nu == nu_monomial_oracle(lean, leads, ring.nvars, record.nu + 1)
+
+
+def test_seeded_sweep_agrees_with_the_kernel():
+    # on a polynomial ring the splitting colon is the unit ideal: fpt's seeded sweep gives b = nu^m_a
+    ring = Session.load(session_path("ex-regular.json")).ring
+    m = ring.maximal_ideal()
+    for gens in (["x^2", "y^3"], ["x*y", "x^3"], ["x^2*y", "2*y^2"]):
+        a = Ideal(ring, gens)
+        est = fsing.fpt_estimate(a, 3)
+        assert [b for _, _, b in est.records] == [nu(a, m, e).nu for e in (1, 2, 3)]
+
+
+def test_unseeded_monomial_scan_builds_no_power_list(monkeypatch):
+    def refuse(self, t):
+        raise AssertionError("power list built")
+
+    monkeypatch.setattr(Ideal, "power_generators", refuse)
+    ring = QuotientRing(3, ["x", "y"], ["x*y"])
+    a, J = Ideal(ring, ["x^2", "2*y^3", "x^3"]), Ideal(ring, ["x^2", "y"])
+    record = nu(a, J, 2, warm_start=100)
+    assert record.caveats == ("warm-start-fallback",)
+    assert record.verify(a, J.bracket(9))

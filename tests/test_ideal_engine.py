@@ -326,6 +326,40 @@ def test_normal_form_follows_a_deep_reduction_chain(regular2):
     assert str(ideal.normal_form(regular2.parse("x^2000"))) == "x*y^1999"
 
 
+def test_binomial_reducer_jumps_whole_powers(regular2):
+    # x^2 -> x*y applies k times at once: x^2000 -> x^1000*y^1000 -> x^500*y^1500 -> ... -> x*y^1999
+    ideal = Ideal(regular2, ["x^2 + x*y"])
+    assert str(ideal.normal_form(regular2.parse("x^2000"))) == "x*y^1999"
+    assert len(ideal._nf_memo) <= 20
+
+
+def test_normal_form_follows_a_deep_two_term_chain():
+    # a two-term tail takes one step per frame: 2,001 memo entries, past the default recursion limit
+    ring = QuotientRing(3, ["x", "y"])
+    ideal = Ideal(ring, ["x^2 + x*y + y^2"])
+    assert str(ideal.normal_form(ring.parse("x^2000"))) == "2*x*y^1999 + 2*y^2000"
+    assert len(ideal._nf_memo) == 2001
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_binomial_jumps_match_step_by_step_reduction(seed):
+    # the same normal forms as the heap reduction, which never jumps, for binomial bases in 2-3 variables
+    rng = random.Random(4400 + seed)
+    p = (2, 3, 5)[seed % 3]
+    ring = QuotientRing(p, ["x", "y", "z"][: 2 + seed % 2])
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        lead, tail = (tuple(rng.randint(0, 3) for _ in range(ring.nvars)) for _ in range(2))
+        gens.append(ring.from_terms({lead: 1, tail: rng.randint(1, p - 1)}))
+    ideal = Ideal(ring, gens)
+    basis = buchberger([g.terms for g in gens], p)
+    masks = [ideals._support(lead) for lead, _ in basis]
+    for _ in range(10):
+        m = tuple(rng.randint(0, 12) for _ in range(ring.nvars))
+        expected = ideals._normal_form_terms({m: 1}, basis, p, ideals._OrderKeys(grevlex_key), masks)
+        assert ideal.normal_form(ring.monomial(m)).terms == expected
+
+
 def test_divisor_index_tables_are_sized_by_distinct_exponents():
     # a table per exponent value would hold 2^20 entries for x; this one holds one per distinct lead exponent
     ring = QuotientRing(2, ["x", "y", "z"])
