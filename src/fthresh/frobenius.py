@@ -8,10 +8,10 @@ of a. Monomial generators take an ascending scan that reuses p * nu(p^(e-1))
 as a verified warm start. When a is the maximal ideal, the sweep over degree
 t visits only the monomials that no monomial basis element of J^[q] divides:
 the skipped ones lie in J^[q], so the first escaping monomial (the witness)
-is unchanged. Other unseeded monomial data is scanned on exponent tuples:
-one memoized longest-chain table G over the exponents outside J^[q] gives
-nu = G(0), the witness is replayed greedily from it, and only the witness
-becomes a Polynomial; seeded scans sweep the power lists. Other generators
+is unchanged. Other monomial data is scanned on exponent tuples: one
+memoized longest-chain table G over the exponents outside J^[q] gives
+nu = G(0) (the largest G(s) over monomial seeds s), the witness is replayed
+greedily from it, and only the witness becomes a Polynomial. Other generators
 take the same scan on M when M is monomial, and the level chain otherwise:
 level t is a row-reduced basis, modulo J^[q], of the products of t
 generators of a, and the chain stops at the first empty level. The chain
@@ -73,7 +73,7 @@ class NuRecord:
             return _first_escaping(basis, self.nu + 1, target) is None
         leads = [m for m, _ in _lean_terms(basis.generators)]
         origin = (0,) * a.ring.nvars
-        return _longest_chains(leads, target, origin)[origin] <= self.nu
+        return _longest_chains(leads, target, [origin])[origin] <= self.nu
 
 
 @dataclass
@@ -126,8 +126,8 @@ def _lean_terms(generators):
     return lean
 
 
-def _longest_chains(exponents, target: Ideal, origin) -> dict:
-    """The table {v: G(v)} over the exponents reachable from `origin` by adding `exponents`.
+def _longest_chains(exponents, target: Ideal, origins) -> dict:
+    """The table {v: G(v)} over the exponents reachable from the origins by adding `exponents`.
 
     G(v) is the most further factors from `exponents` that x^v takes while
     staying outside the target: -1 when x^v is inside, else
@@ -138,7 +138,7 @@ def _longest_chains(exponents, target: Ideal, origin) -> dict:
     target iff G(v) >= t, and nu = G(0).
     """
     table: dict = {}
-    stack = [(origin, None)]
+    stack = [(origin, None) for origin in origins]
     while stack:
         u, above = stack.pop()
         if above is not None:
@@ -193,8 +193,8 @@ def _first_escaping(a: Ideal, t: int, target: Ideal, seeds=None):
     monomials g are tried: the others lie in the target, and so does g * s
     for every seed s, so the first escaping product is the same. Without
     seeds they are tested as exponent tuples, and only the escaping one
-    becomes a Polynomial. Other a sweep the lean power list
-    (`Ideal.power_generators`) times each seed.
+    becomes a Polynomial. Other a (`_chain_witness`'s step test) sweep the
+    lean power list (`Ideal.power_generators`) times each seed.
     """
     if _is_maximal_ideal(a):
         candidates = target.candidate_monomials(t)
@@ -212,55 +212,59 @@ def _first_escaping(a: Ideal, t: int, target: Ideal, seeds=None):
     return None
 
 
-def _sweep(a: Ideal, target: Ideal, warm_start: int, seeds):
-    """Ascending sweep for a = m or monomial seeds, chaining witnesses across levels.
+def _sweep(m: Ideal, target: Ideal, warm_start: int, seeds):
+    """Ascending sweep of the maximal ideal m times optional monomial seeds, chaining witnesses across levels.
 
-    Returns None when already a^warm_start * seeds is contained (warm start
+    Returns None when already m^warm_start * seeds is contained (warm start
     invalid). The escape search at each next level first tries multiples of
     the previous witness, falling back to the sweep of `_first_escaping`; the
     final containment is always established by that sweep.
     """
     t = warm_start
-    witness = _first_escaping(a, t, target, seeds)
+    witness = _first_escaping(m, t, target, seeds)
     if witness is None:
         return None
     while True:
         nxt = None
-        for g in a.generators:
+        for g in m.generators:
             h = witness * g
             if not target.contains_poly(h):
                 nxt = h
                 break
         if nxt is None:
-            nxt = _first_escaping(a, t + 1, target, seeds)
+            nxt = _first_escaping(m, t + 1, target, seeds)
         if nxt is None:
             return t, witness
         t, witness = t + 1, nxt
 
 
-def _scan_exponents(a: Ideal, target: Ideal, warm_start: int):
-    """The unseeded scan of monomial a other than m, on exponent tuples, as (t, witness, caveats).
+def _scan_exponents(a: Ideal, target: Ideal, warm_start: int, seeds):
+    """The scan of monomial a other than m, times optional monomial seeds, on exponent tuples.
 
-    t = G(0) from one `_longest_chains` table over the lean generators. The
-    witness replays `_sweep`'s chain: the first escape at the warm start, or
-    at 0 when G(0) < warm_start, then at each next level the first escaping
-    multiple witness * g over a's generators in order (always a lean one: a
-    dropped g has an earlier divisor that escapes too), else the level's
-    first escape. That is the first escaping element of the lean power list,
-    the lexicographically first chain of lean factors that stays outside,
-    built greedily: each factor is the first g with G(s + g) >= r, the
-    factors still to place after it. The coefficient is the product of the
-    chosen generators' coefficients, and only the witness becomes a
+    Returns (t, witness, caveats). One `_longest_chains` table over the lean
+    generators, grown from the seeds' exponents (from 0 without seeds),
+    gives t = max G(s) over them, and a positive warm start falls back
+    exactly when t < warm_start. A seeded scan builds no witness. Otherwise the witness
+    replays the ascending sweep's chain: the first escape at the warm start,
+    or at 0 when G(0) < warm_start, then at each next level the first
+    escaping multiple witness * g over a's generators in order (always a
+    lean one: a dropped g has an earlier divisor that escapes too), else the
+    level's first escape. That is the first escaping element of the lean
+    power list, the lexicographically first chain of lean factors that stays
+    outside, built greedily: each factor is the first g with G(s + g) >= r,
+    the factors still to place after it. The coefficient is the product of
+    the chosen generators' coefficients, and only the witness becomes a
     Polynomial.
     """
     ring, p = a.ring, a.ring.p
     lean = _lean_terms(a.generators)
     origin = (0,) * ring.nvars
-    chains = _longest_chains([m for m, _ in lean], target, origin)
-    top = chains[origin]
-    caveats = ("warm-start-fallback",) if top < warm_start else ()
-    if top < 0:
-        return -1, None, caveats
+    origins = [origin] if seeds is None else [next(iter(s.terms)) for s in seeds]
+    chains = _longest_chains([m for m, _ in lean], target, origins)
+    top = max(map(chains.__getitem__, origins))
+    caveats = ("warm-start-fallback",) if 0 < warm_start > top else ()
+    if top < 0 or seeds is not None:
+        return top, None, caveats
 
     def first_escape(length):
         s, c = origin, 1
@@ -291,11 +295,11 @@ def _scan_monomial(a: Ideal, target: Ideal, warm_start: int | None, seeds=None):
 
     It first tries the warm start and falls back to t = 0 (caveat
     "warm-start-fallback") when a^warm_start * (seeds) is already contained.
-    An unseeded a other than m takes the longest-chain kernel
-    (`_scan_exponents`); a = m and seeded scans take the sweep (`_sweep`).
+    An a other than m takes the longest-chain kernel (`_scan_exponents`),
+    seeded or not; a = m takes the candidate sweep (`_sweep`).
     """
-    if seeds is None and not _is_maximal_ideal(a):
-        return _scan_exponents(a, target, warm_start or 0)
+    if not _is_maximal_ideal(a):
+        return _scan_exponents(a, target, warm_start or 0, seeds)
     caveats = ()
     result = None
     if warm_start:
@@ -377,7 +381,8 @@ def _scan(a: Ideal, target: Ideal, warm_start: int | None = None, seeds=None):
     (`_levels`) otherwise. Then only an unseeded scan builds a witness
     (`_chain_witness`), whose step test "rest * a^r escapes" is asked of M^r,
     or of level r of the chain: the answers agree, so the witness does not
-    depend on the kernel. The seeded witness is None.
+    depend on the kernel. Seeded scans build no witness, except the sweep
+    of a = m.
     """
     monomial_seeds = seeds is None or _all_monomial(seeds)
     if monomial_seeds and _all_monomial(a.generators):

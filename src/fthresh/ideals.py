@@ -426,11 +426,14 @@ class Ideal:
         each smaller than it, are memoized. A reducer with no tail is a
         monomial element, and its multiples reduce to zero.
 
-        A binomial reducer x^lead -> c * x^g jumps whole powers: when lead
-        also divides n - lead, n = k * lead + r with k maximal, and the frame's
-        one tail term is c^k * x^(k*g + r). The normal form modulo a reduced
-        basis is unique, so every memoized value is the one the step-by-step
-        chain would store; only the intermediate monomials are skipped.
+        A binomial reducer x^lead -> c * x^g with deg g < deg lead jumps whole
+        powers: when lead also divides n - lead, n = k * lead + r with k
+        maximal, and the frame's one tail term is c^k * x^(k*g + r). The
+        normal form modulo a reduced basis is unique, so every memoized value
+        is the one the step-by-step chain would store; only the intermediate
+        monomials are skipped. A homogeneous binomial steps: its chain stays in
+        the degree of n, where the candidates of the maximal ideal's walk
+        share those intermediates.
         """
         memo = self._nf_memo
         if m in memo:
@@ -454,7 +457,7 @@ class Ideal:
                     memo[n] = _ZERO
                     continue
                 shift = monomial_div(n, lead)
-                if len(tail) == 1 and monomial_divides(lead, shift):
+                if len(tail) == 1 and monomial_divides(lead, shift) and sum(tail[0][0]) < sum(lead):
                     ((g, c),) = tail
                     k = min(e // d for e, d in zip(n, lead) if d)
                     tail = [(tuple(e + k * (y - d) for e, d, y in zip(n, lead, g)), pow(c, k, p))]

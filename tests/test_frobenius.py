@@ -684,3 +684,40 @@ def test_unseeded_monomial_scan_builds_no_power_list(monkeypatch):
     record = nu(a, J, 2, warm_start=100)
     assert record.caveats == ("warm-start-fallback",)
     assert record.verify(a, J.bracket(9))
+
+
+def _seeded_power_list_scan(a, target, warm_start, seeds):
+    """(t, caveats) of the seeded sweep the kernel replaces: the largest t with a^t * (seeds) outside the target.
+
+    a^t * (seeds) escapes iff some lean product times some seed does.
+    """
+
+    def escapes(t):
+        return any(not target.contains_poly(h * s) for h in a.power_generators(t) for s in seeds)
+
+    t, caveats = warm_start or 0, ()
+    if t and not escapes(t):
+        t, caveats = 0, ("warm-start-fallback",)
+    if not escapes(t):
+        return -1, caveats
+    while escapes(t + 1):
+        t += 1
+    return t, caveats
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_seeded_monomial_scan_matches_power_lists(seed, monkeypatch):
+    rng, a, J, e = _monomial_draw(seed)
+    ring = a.ring
+    target = J.bracket(ring.p**e)
+    seeds = [ring.monomial(tuple(rng.randint(0, 3) for _ in range(ring.nvars)), rng.randint(1, ring.p - 1))]
+    seeds += rng.sample([ring.one(), *ring.gens()], rng.randint(0, 2))
+    warms = (None, 0, rng.randint(1, 3), rng.randint(8, 30))
+    expected = [_seeded_power_list_scan(a, target, warm, seeds) for warm in warms]
+
+    def refuse(self, t):
+        raise AssertionError("power list built")
+
+    monkeypatch.setattr(Ideal, "power_generators", refuse)
+    for warm, (t, caveats) in zip(warms, expected):
+        assert frobenius._scan(a, target, warm, seeds) == (t, None, caveats)
