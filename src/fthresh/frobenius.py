@@ -8,7 +8,8 @@ of a. Monomial generators take an ascending scan that reuses p * nu(p^(e-1))
 as a verified warm start. When a is the maximal ideal, the sweep over degree
 t visits only the monomials that no monomial basis element of J^[q] divides:
 the skipped ones lie in J^[q], so the first escaping monomial (the witness)
-is unchanged. Other monomial data is scanned on exponent tuples: one
+is unchanged; that sweep tests exponent tuples and multiplies no
+polynomials. Other monomial data is scanned on exponent tuples too: one
 memoized longest-chain table G over the exponents outside J^[q] gives
 nu = G(0) (the largest G(s) over monomial seeds s), the witness is replayed
 greedily from it, and only the witness becomes a Polynomial. Other generators
@@ -24,6 +25,7 @@ certificate that is re-checked on construction.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -192,16 +194,17 @@ def _first_escaping(a: Ideal, t: int, target: Ideal, seeds=None):
     Seeds are required unless a = m. With a = m, only the target's candidate
     monomials g are tried: the others lie in the target, and so does g * s
     for every seed s, so the first escaping product is the same. Without
-    seeds they are tested as exponent tuples, and only the escaping one
-    becomes a Polynomial. Other a (`_chain_witness`'s step test) sweep the
-    lean power list (`Ideal.power_generators`) times each seed.
+    seeds (`NuRecord.verify`) they are tested as exponent tuples, and only
+    the escaping one becomes a Polynomial. With seeds, and for any other a,
+    this is `_chain_witness`'s step test, whose seed is a reduced remainder:
+    a = m multiplies each candidate by it, other a sweep the lean power list
+    (`Ideal.power_generators`) times it.
     """
     if _is_maximal_ideal(a):
-        candidates = target.candidate_monomials(t)
         if seeds is None:
-            u = next((u for u in candidates if not target.contains_monomial(u)), None)
-            return None if u is None else a.ring.monomial(u)
-        products = map(a.ring.monomial, candidates)
+            found = _escaping_candidate(target, t)
+            return None if found is None else a.ring.monomial(*found)
+        products = map(a.ring.monomial, target.candidate_monomials(t))
     else:
         products = a.power_generators(t)
     for g in products:
@@ -212,30 +215,51 @@ def _first_escaping(a: Ideal, t: int, target: Ideal, seeds=None):
     return None
 
 
+def _escaping_candidate(target: Ideal, t: int, seed_terms=None):
+    """The first x^(u+s) outside the target as (u + s, c), u a candidate monomial of degree t; None if none.
+
+    The candidates are the target's (`Ideal.candidate_monomials`), in order,
+    and for each of them the seed terms (s, c) in order; without seeds,
+    s = 0 and c = 1. Every other monomial of degree t lies in the target,
+    and so do its multiples.
+    """
+    candidates = target.candidate_monomials(t)
+    if seed_terms is None:
+        products = zip(candidates, itertools.repeat(1))
+    else:
+        products = ((monomial_mul(u, s), c) for u in candidates for s, c in seed_terms)
+    return next(((v, c) for v, c in products if not target.contains_monomial(v)), None)
+
+
 def _sweep(m: Ideal, target: Ideal, warm_start: int, seeds):
-    """Ascending sweep of the maximal ideal m times optional monomial seeds, chaining witnesses across levels.
+    """Ascending sweep of the maximal ideal m times optional monomial seeds, on exponent tuples.
 
     Returns None when already m^warm_start * seeds is contained (warm start
-    invalid). The escape search at each next level first tries multiples of
-    the previous witness, falling back to the sweep of `_first_escaping`; the
-    final containment is always established by that sweep.
+    invalid), else (t, witness). The escape search at each next level first
+    tries the previous witness times each generator of m in order, falling
+    back to the level's first escape (`_escaping_candidate`), which also
+    establishes the final containment. Membership is the target's
+    `contains_monomial`, and only the witness becomes a Polynomial, with the
+    coefficient of its seed.
     """
-    t = warm_start
-    witness = _first_escaping(m, t, target, seeds)
-    if witness is None:
+    seed_terms = None if seeds is None else [next(iter(s.terms.items())) for s in seeds]
+    steps = [next(iter(g.terms)) for g in m.generators]
+    found = _escaping_candidate(target, warm_start, seed_terms)
+    if found is None:
         return None
+    t, (witness, coeff) = warm_start, found
     while True:
-        nxt = None
-        for g in m.generators:
-            h = witness * g
-            if not target.contains_poly(h):
-                nxt = h
+        for g in steps:
+            u = monomial_mul(witness, g)
+            if not target.contains_monomial(u):
+                witness = u
                 break
-        if nxt is None:
-            nxt = _first_escaping(m, t + 1, target, seeds)
-        if nxt is None:
-            return t, witness
-        t, witness = t + 1, nxt
+        else:
+            found = _escaping_candidate(target, t + 1, seed_terms)
+            if found is None:
+                return t, m.ring.monomial(witness, coeff)
+            witness, coeff = found
+        t += 1
 
 
 def _scan_exponents(a: Ideal, target: Ideal, warm_start: int, seeds):

@@ -39,6 +39,10 @@ element, with no tail, maps it at once to one shared empty result. The same
 index walks the staircase, with every lead live, or with only the monomial
 elements live for the candidates of a sweep. A reduced basis gives unique
 normal forms, so which divisor reduces a monomial changes no result.
+A variable that no non-monomial element uses, in its lead or its tail, is
+free: x^(b+f), f its free part, reduces as x^f * NF(x^b) less the terms a
+monomial element divides, so the memo holds one reduction chain per bound
+part b however many free exponents come with it.
 Buchberger reduces against a reducer list that grows as it goes, so a memo
 cannot serve it: its reductions are `_normal_form_terms`, on the heap.
 """
@@ -47,7 +51,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from operator import neg
+from operator import mul, neg
 
 from . import linalg
 from .ring import (
@@ -369,6 +373,7 @@ class Ideal:
         self._gb_leads = None
         self._monomial_elements = None
         self._reducers = None
+        self._bound = None
         self._index = None
         self._basis_ideal = None
         self._nf_memo: dict = {}
@@ -394,6 +399,10 @@ class Ideal:
                 for lead, g in self._gb_leads
                 if len(g) > 1
             ]
+            # the variables some non-monomial element uses, as a 0/1 tuple, kept only when some other variable is free
+            used = {i for _, g in self._gb_leads if len(g) > 1 for m in g for i, e in enumerate(m) if e}
+            if 0 < len(used) < self.ring.nvars:
+                self._bound = tuple(int(i in used) for i in range(self.ring.nvars))
         return self._gb
 
     def basis_ideal(self) -> "Ideal":
@@ -434,12 +443,32 @@ class Ideal:
         monomials are skipped. A homogeneous binomial steps: its chain stays in
         the degree of n, where the candidates of the maximal ideal's walk
         share those intermediates.
+
+        When some variables are free (`_bound` is set: no non-monomial element
+        uses them) and m = b + f has a free part f, the result is zero if a
+        monomial element divides x^m, and otherwise x^f * NF(x^b) less the
+        terms that a monomial element divides. That is exact: the reduction
+        of x^b never leaves the bound variables, times x^f it is a reduction
+        of x^m, and a lead of a non-monomial element divides u + f only when
+        it divides the standard u. So only NF(x^b) is reduced, and the chain
+        below it is shared by every free part.
         """
         memo = self._nf_memo
         if m in memo:
             return memo[m]
         index = self._divisor_index()
         divisors, everything = index.divisors, index.everything
+        if self._bound is not None:
+            b = tuple(map(mul, m, self._bound))
+            if b != m:
+                monomial = (1 << len(self._monomial_elements)) - 1
+                if divisors(m, monomial):
+                    memo[m] = _ZERO
+                    return _ZERO
+                f = monomial_div(m, b)
+                shifted = ((monomial_mul(u, f), c) for u, c in self._monomial_nf(b).items())
+                out = memo[m] = {v: c for v, c in shifted if not divisors(v, monomial)}
+                return out
         p = self.ring.p
         reducers = self._reducers
         stack = [(m, None)]

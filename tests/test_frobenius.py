@@ -19,7 +19,7 @@ from fthresh import (
 from fthresh import frobenius, fsing, ideals, linalg
 from fthresh.cli import Session
 from fthresh.ring import Polynomial, grevlex_key, monomials_of_degree
-from fthresh.verifier import check_monotonicity, random_m_primary, random_poly
+from fthresh.verifier import check_monotonicity, random_hypersurface, random_m_primary, random_poly
 from oracles import nu_monomial_oracle, simplest_rational_oracle
 
 
@@ -672,6 +672,44 @@ def test_seeded_sweep_agrees_with_the_kernel():
         a = Ideal(ring, gens)
         est = fsing.fpt_estimate(a, 3)
         assert [b for _, _, b in est.records] == [nu(a, m, e).nu for e in (1, 2, 3)]
+
+
+def _criterion4_trial(p, seed):
+    """The ring and b of `check_theorem_A_randomized(p, 1, e_max, seed)`'s one trial."""
+    rng = random.Random(seed)
+    ring = random_hypersurface(rng, p)
+    return ring, random_m_primary(rng, ring)
+
+
+def test_free_variable_keeps_the_bracket_memo_small():
+    # w is free of x^2 + 2*x*y + z, the one non-monomial element of the q = 9 bracket's basis, so the
+    # degree-34 candidates share the reductions of their (x, y, z) parts: 8,373 memo entries became 2,790
+    ring, b = _criterion4_trial(3, 20)
+    m = ring.maximal_ideal()
+    records = [nu(m, b, 0)] + threshold_estimate(m, b, 2).records
+    assert [(r.nu, str(r.witness)) for r in records] == [(1, "x"), (9, "x^5*y^2*w^2"), (33, "x^17*y^8*w^8")]
+    assert len(b.bracket(9)._nf_memo) < 3000
+
+
+def test_maximal_ideal_sweep_multiplies_no_polynomials(monkeypatch):
+    ring, b = _criterion4_trial(3, 20)
+    m = ring.maximal_ideal()
+    warms = (27, 100)  # p * nu(3) = 27 is a valid warm start for nu(9) = 33, 100 falls back
+    expected = [nu(m, b, 2, warm_start=warm) for warm in warms]
+    assert [r.caveats for r in expected] == [(), ("warm-start-fallback",)]
+    J = Ideal(ring, b.generators)
+    assert J.is_m_primary()  # the preconditions may multiply: they square normal forms of pure powers
+    node4 = Session.load(session_path("ex-node4.json")).ring.maximal_ideal()
+
+    def refuse(self, other):
+        raise AssertionError("product built")
+
+    monkeypatch.setattr(Polynomial, "__mul__", refuse)
+    for warm, record in zip(warms, expected):
+        again = nu(m, J, 2, warm_start=warm)
+        assert (again.nu, str(again.witness), again.caveats) == (record.nu, str(record.witness), record.caveats)
+    # fpt's seeded sweep: the seeds are the monomial generators of the splitting colon (L^[q] : L)
+    assert fsing.fpt_estimate(node4, 3).records == [(1, 2, 2), (2, 4, 6), (3, 8, 14)]
 
 
 def test_unseeded_monomial_scan_builds_no_power_list(monkeypatch):

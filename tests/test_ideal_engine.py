@@ -364,6 +364,38 @@ def test_binomial_jumps_match_step_by_step_reduction(seed):
         assert ideal.normal_form(ring.monomial(m)).terms == expected
 
 
+FREE_VARIABLE_BASES = [
+    # a multi-term tail that leaves w free (the q = 9 bracket of criterion 4's GF(3) trial 20)
+    (["x", "y", "z", "w"], ["x^2 + 2*x*y + z", "w^9", "z^9", "y^9"], True),
+    # a degree-dropping binomial next to the mixed monomial element x^3*z^9 (trial 24's q = 9 bracket)
+    (["x", "y", "z", "w"], ["y^3 + x", "w^9", "x^9", "x^3*z^9", "z^27"], True),
+    # y^2 -> 2*x puts x under z^2, so the shifted term 2*x*z^2 of y^2*z^2 falls to the monomial element x*z^2
+    (["x", "y", "z"], ["y^2 + x", "x*z^2", "z^4", "x^3"], True),
+    (["x", "y", "z", "w"], ["x^3", "y^2*z", "z^4", "x*w^2", "w^3"], False),  # all monomial
+    (["x", "y", "z"], ["x^2 + y*z", "y^3", "x*z^3", "z^4"], False),  # no free variable
+]
+
+
+@pytest.mark.parametrize("names, generators, has_free", FREE_VARIABLE_BASES, ids=["w-free", "zw-free", "z-free", "monomial", "none-free"])
+def test_free_variable_normal_forms_match_step_by_step_reduction(names, generators, has_free):
+    # x^(b+f) with f on the variables no non-monomial element uses: x^f * NF(x^b), less what a monomial element divides
+    ring = QuotientRing(3, names)
+    basis = buchberger([ring.parse(g).terms for g in generators], 3)
+    assert sorted(str(ring.from_terms(g)) for _, g in basis) == sorted(generators)  # already reduced
+    masks = [ideals._support(lead) for lead, _ in basis]
+    monomials = [m for d in range(15) for m in monomials_of_degree(ring.nvars, d)]
+    random.Random(len(names) + len(generators)).shuffle(monomials)
+    ideal, fresh = Ideal(ring, generators), Ideal(ring, generators)
+    members = 0
+    for m in monomials:
+        expected = ideals._normal_form_terms({m: 1}, basis, 3, ideals._OrderKeys(grevlex_key), masks)
+        assert ideal.normal_form(ring.monomial(m)).terms == expected
+        assert fresh.contains_monomial(m) == (not expected)
+        members += not expected
+    assert 0 < members < len(monomials)
+    assert (ideal._bound is not None) == has_free
+
+
 def test_divisor_index_tables_are_sized_by_distinct_exponents():
     # a table per exponent value would hold 2^20 entries for x; this one holds one per distinct lead exponent
     ring = QuotientRing(2, ["x", "y", "z"])
