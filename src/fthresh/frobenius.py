@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .graded import gr_of_ideal
+from .graded import gr_of_ideal, relations_homogeneous
 from .ideals import Ideal
 from .ring import Polynomial, QuotientRing, RingError, grevlex_key, monomial_div, monomial_divides, monomial_mul
 
@@ -469,6 +469,8 @@ def threshold_estimate(
     """Records for e = 1..e_max plus the rational bracket around c^J(a)."""
     if e_max < 1:
         raise RingError("e_max must be at least 1")
+    if max_denominator < 1:
+        raise RingError("max_denominator must be at least 1")
     p = a.ring.p
     records = []
     prev = nu(a, J, 0)
@@ -532,12 +534,22 @@ class TheoremAReport:
 
 
 def verify_theorem_A(ring: QuotientRing, b: Ideal, e_max: int) -> TheoremAReport:
-    """Check nu^b_m(p^e) <= nu^I_n(p^e) for e <= e_max, I the initial ideal of b."""
+    """Check nu^b_m(p^e) <= nu^I_n(p^e) for e <= e_max, I the initial ideal of b.
+
+    When L and b + L are homogeneous (their reduced bases are), gr_m(R) = R
+    and I = b + L, so both sides scan the same ideal b^[q] + L of S with the
+    same variables: the local estimate is reused as the graded one, its
+    witnesses elements of R, and no tangent cone is built. Otherwise the cone
+    and in(b) are computed first, so that their refusals come before any scan.
+    """
     if not b.is_m_primary():
         raise RingError("b must be m-primary")
-    graded_b = gr_of_ideal(b)
-    local = threshold_estimate(ring.maximal_ideal(), b, e_max)
-    graded = threshold_estimate(graded_b.ring.maximal_ideal(), graded_b, e_max)
+    if relations_homogeneous(ring) and all(g.is_homogeneous() for g in b.groebner_basis()):
+        local = graded = threshold_estimate(ring.maximal_ideal(), b, e_max)
+    else:
+        graded_b = gr_of_ideal(b)
+        local = threshold_estimate(ring.maximal_ideal(), b, e_max)
+        graded = threshold_estimate(graded_b.ring.maximal_ideal(), graded_b, e_max)
     caveats = tuple(local.caveats) + tuple(graded.caveats)
     for loc, grd in zip(local.records, graded.records):
         if loc.nu > grd.nu:

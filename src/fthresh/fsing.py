@@ -72,6 +72,8 @@ def fpt_estimate(
     """
     if e_max < 1:
         raise RingError("e_max must be at least 1")
+    if max_denominator < 1:
+        raise RingError("max_denominator must be at least 1")
     ring = a.ring
     if not fedder_f_pure(ring):
         raise FPurityError("the presentation is not F-pure; b_a(q) is undefined")

@@ -202,6 +202,11 @@ def _initial_terms(a: Ideal) -> list:
     return pieces + [{m: 1} for m in monomials]
 
 
+def relations_homogeneous(ring: QuotientRing) -> bool:
+    """True when L is homogeneous (its reduced basis is), so that in(L) = L and gr_m(R) = R."""
+    return all(g.is_homogeneous() for g in zero_ideal(ring).groebner_basis())
+
+
 def gr_of_ideal(a: Ideal) -> Ideal:
     """Initial ideal in(a + L) of an m-primary ideal a, as an ideal of the cone gr_presentation(a.ring)."""
     if not a.is_m_primary():
@@ -212,10 +217,7 @@ def gr_of_ideal(a: Ideal) -> Ideal:
     # The matrix path gives the same ideal of S/in(L) but not of S (ex-fermat-cubic `gr-ideal
     # --a J`: (x, y) here, (y, x, z^3) there), and perfbench/workloads._fingerprint compares
     # the reported generators as an ideal of S
-    rel_basis = zero_ideal(ring).groebner_basis()
-    if all(g.is_homogeneous() for g in rel_basis) and all(
-        g.is_homogeneous() for g in a.generators
-    ):
+    if relations_homogeneous(ring) and all(g.is_homogeneous() for g in a.generators):
         return Ideal(graded, [transfer(g, graded) for g in a.generators])
     return Ideal(graded, [graded.from_terms(t) for t in _initial_terms(a)])
 

@@ -380,8 +380,8 @@ def test_colon_lemma_past_the_matrix_bound_is_inconclusive():
         (["hilbert", "--degree", "0"], ("values",), [1]),
         (["check", "--name", "colon-lemma", "--x", "x", "--degree", "0"], ("inputs", "n_max"), "0"),
         (["check", "--name", "monotonicity", "--trials", "0"], ("details", "checked"), 0),
-        (["threshold", "--a", "m", "--J", "m", "--max-denominator", "0"], ("guess",), None),
-        (["fpt", "--a", "m", "--max-denominator", "0"], ("guess",), None),
+        (["threshold", "--a", "m", "--J", "m", "--max-denominator", "0"], None, RingError),
+        (["fpt", "--a", "m", "--max-denominator", "0"], None, RingError),
         (["ord", "--x", "x", "--degree", "0"], None, RingError),
         (["initial", "--x", "x", "--degree", "0"], None, RingError),
     ],
@@ -389,7 +389,7 @@ def test_colon_lemma_past_the_matrix_bound_is_inconclusive():
 )
 def test_zero_option_is_a_value(argv, path, value):
     # a numeric option given as 0 reaches the library; it is not replaced by
-    # the session option or the command default
+    # the session option or the command default (64 and 10**6 would be accepted)
     argv = argv[:1] + ["--session", session_path("ex-regular.json")] + argv[1:]
     if value is RingError:
         with pytest.raises(RingError):
@@ -406,6 +406,21 @@ def test_fpt_e_max_below_one_is_a_usage_error(capsys):
     argv = ["fpt", "--session", session_path("ex-regular.json"), "--a", "m", "--e-max", "0"]
     assert main(argv) == 2
     assert "e_max must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["threshold", "--J", "m"], ["fpt"]], ids=["threshold", "fpt"])
+def test_max_denominator_below_one_is_a_usage_error(command, tmp_path, capsys):
+    # a bound below 1 admits no guess, so the command answered "guess": null having guessed nothing;
+    # test_zero_option_is_a_value gives the flag 0
+    argv = command[:1] + ["--a", "m", "--e-max", "2"] + command[1:]
+    assert main(argv + ["--session", session_path("ex-regular.json"), "--max-denominator", "-3"]) == 2
+    assert "max_denominator must be at least 1" in capsys.readouterr().err
+    document = json.loads(open(session_path("ex-regular.json")).read())
+    document["options"]["max_denominator"] = 0
+    path = tmp_path / "session.json"
+    path.write_text(json.dumps(document))
+    assert main(argv + ["--session", str(path)]) == 2
+    assert "max_denominator must be at least 1" in capsys.readouterr().err
 
 
 def test_superficial_negative_degree_is_a_usage_error(capsys):

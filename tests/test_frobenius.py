@@ -11,13 +11,14 @@ from fthresh import (
     Ideal,
     QuotientRing,
     RingError,
+    gr_of_ideal,
     guess_rational,
     nu,
     threshold_estimate,
     verify_theorem_A,
 )
 from fthresh import frobenius, fsing, ideals, linalg
-from fthresh.cli import Session
+from fthresh.cli import Session, _ser_estimate
 from fthresh.ring import Polynomial, grevlex_key, monomials_of_degree
 from fthresh.verifier import check_monotonicity, random_hypersurface, random_m_primary, random_poly
 from oracles import nu_monomial_oracle, simplest_rational_oracle
@@ -710,6 +711,49 @@ def test_maximal_ideal_sweep_multiplies_no_polynomials(monkeypatch):
         assert (again.nu, str(again.witness), again.caveats) == (record.nu, str(record.witness), record.caveats)
     # fpt's seeded sweep: the seeds are the monomial generators of the splitting colon (L^[q] : L)
     assert fsing.fpt_estimate(node4, 3).records == [(1, 2, 2), (2, 4, 6), (3, 8, 14)]
+
+
+@pytest.mark.parametrize(
+    "source",
+    [(2, 2), (3, 5), (3, 9), "ex-node4", "ex-fermat-cubic", "ex-regular"],
+    ids=["gf2:2", "gf3:5", "gf3:9", "ex-node4", "ex-fermat-cubic", "ex-regular"],
+)
+def test_standard_graded_theorem_A_reuses_the_local_estimate(source, monkeypatch):
+    # L and b + L homogeneous give gr_m(R) = R and in(b) = b + L, so the graded side would scan
+    # b^[q] + L again; in gf3:5 b's generator x^2*y + 2*y*z is not homogeneous, but b + L's basis is
+    if isinstance(source, tuple):
+        ring, b = _criterion4_trial(*source)
+    else:
+        ring = Session.load(session_path(f"{source}.json")).ring
+        b = ring.maximal_ideal()
+    initial = gr_of_ideal(b)
+    graded = threshold_estimate(initial.ring.maximal_ideal(), initial, 2)
+
+    def refuse(b):
+        raise AssertionError("initial ideal built")
+
+    monkeypatch.setattr(frobenius, "gr_of_ideal", refuse)
+    report = verify_theorem_A(ring, b, 2)
+    assert report.verdict == "pass"
+    assert _ser_estimate(report.graded_estimate) == _ser_estimate(graded)
+
+
+def test_theorem_A_builds_the_initial_ideal_unless_standard_graded(regular2, blowup, monkeypatch):
+    # gf3:20's b + L is homogeneous but L = (x^2 + 2*x*y + z) is not, (x + y^2, y^5) is not homogeneous
+    # over L = 0, and the blow-up has a strict level
+    calls = []
+
+    def counted(b):
+        calls.append(b)
+        return gr_of_ideal(b)
+
+    monkeypatch.setattr(frobenius, "gr_of_ideal", counted)
+    ring, b = _criterion4_trial(3, 20)
+    assert verify_theorem_A(ring, b, 2).verdict == "pass"
+    assert verify_theorem_A(regular2, Ideal(regular2, ["x + y^2", "y^5"]), 2).verdict == "pass"
+    report = verify_theorem_A(blowup, blowup.maximal_ideal(), 3)
+    assert any(local < graded for (_, _, local, graded) in report.nu_table)
+    assert len(calls) == 3
 
 
 def test_unseeded_monomial_scan_builds_no_power_list(monkeypatch):
